@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import MalformedLine, PriorOutOfRange
-from .model import NONE_ENTITY, EntityId, make_entity
+from .model import NONE_ENTITY, EntityId, data_lines, make_entity
 
 _SUM_TOLERANCE = 1e-9
 
@@ -97,22 +97,6 @@ class AliasDictionary:
         return cls(entries={m: tuple(bucket.items()) for m, bucket in grouped.items()})
 
 
-def _iter_data_lines(data: bytes | str | IO[bytes]) -> Iterator[tuple[int, str]]:
-    if isinstance(data, str):
-        text = data
-    else:
-        raw = data if isinstance(data, bytes) else data.read()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedLine(f"input is not valid UTF-8: {exc}") from exc
-    for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield number, line.rstrip("\n\r")
-
-
 def load_alias_dictionary(data: bytes | str | IO[bytes]) -> AliasDictionary:
     """Load a tab-separated ``mention<TAB>entity<TAB>prior`` file.
 
@@ -120,7 +104,7 @@ def load_alias_dictionary(data: bytes | str | IO[bytes]) -> AliasDictionary:
     (mention, entity) rows keep the maximum prior.
     """
     pairs: list[tuple[str, EntityId, float]] = []
-    for number, line in _iter_data_lines(data):
+    for number, line in data_lines(data):
         fields = line.split("\t")
         if len(fields) != 3:
             raise MalformedLine(f"expected 3 tab-separated fields, got {len(fields)}", number)
@@ -145,7 +129,7 @@ def load_vocabulary(data: bytes | str | IO[bytes]) -> tuple[EntityId, ...]:
     """
     seen: set[EntityId] = set()
     ordered: list[EntityId] = []
-    for number, line in _iter_data_lines(data):
+    for number, line in data_lines(data):
         entity = make_entity(line.strip())
         if entity not in seen:
             seen.add(entity)

@@ -8,14 +8,18 @@ Subcommands:
   empty candidate policies and emit comparison tables.
 * score: score a prediction file offline against a gold corpus.
 
+Each pipeline flag sets the RunConfig field of the same name. A command
+builds one RunConfig, loads the files it names once, and hands both to
+build_pipeline, which library callers use as well.
+
 Exit codes: 0 on success, 2 on usage errors, 1 on runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import random
 import sys
 from pathlib import Path
 
@@ -26,7 +30,7 @@ from .candidates import (
     load_alias_dictionary,
     load_vocabulary,
 )
-from .conll import parse_conll
+from .conll import Corpus, parse_conll
 from .errors import LinkEvalError, MalformedLine, UsageError
 from .linkers import (
     CoherenceParams,
@@ -36,7 +40,7 @@ from .linkers import (
     link_token_merge,
     load_embeddings,
 )
-from .model import EntityId
+from .model import EntityId, data_lines, make_entity
 from .reports import DELTA_FILE, RATIO_FILE, emit_report, write_delta_file, write_ratio_file
 from .runner import (
     LINKER_CHOICES,
@@ -45,118 +49,137 @@ from .runner import (
     InProcessAnnotator,
     PredictionFileAnnotator,
     RunConfig,
+    derive_vocabulary,
     run_benchmark,
 )
 from .scoring import pr_delta
-from .service import AnnotationPipeline, LinkerFn, RawTriple, serve
+from .service import AnnotationPipeline, RawTriple, serve
+
+_CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(RunConfig))
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--policy", choices=POLICY_CHOICES, default="dict", help="candidate policy")
+def _add_resource_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dict-path", help="alias dictionary TSV (mention<TAB>entity<TAB>prior)")
     parser.add_argument("--vocab-path", help="entity vocabulary file, one id per line")
+
+
+def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+    _add_resource_flags(parser)
     parser.add_argument("--embeddings-path", help="embedding table (key<TAB>v1 v2 ... vd)")
-    parser.add_argument("--linker", choices=LINKER_CHOICES, default="prior_argmax")
-    parser.add_argument("--n", type=int, default=5, help="max tokens per enumerated span")
-    parser.add_argument("--max-tokens", type=int, default=512, help="max tokens per segment")
-    parser.add_argument("--top-p", type=int, default=30, help="candidates re-scored per span")
-    parser.add_argument("--beam-width", type=int, default=5, help="beam width for constrained decoding")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--linker", choices=LINKER_CHOICES)
+    parser.add_argument("--n", dest="max_span_tokens", type=int, metavar="N", help="max tokens per enumerated span")
+    parser.add_argument("--max-tokens", type=int, help="max tokens per segment")
+    parser.add_argument("--top-p", type=int, help="candidates re-scored per span")
+
+
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--corpus", required=True, help="gold CoNLL-style corpus file")
+    parser.add_argument("--out", default="out", help="report output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="linkeval", description="entity linking evaluation harness")
     sub = parser.add_subparsers(dest="command", required=True)
+    # an unset flag stays out of the namespace, so RunConfig's default applies
+    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p_serve = sub.add_parser("serve", help="run the annotate service")
-    _add_common_flags(p_serve)
+    p_serve = command("serve", help="run the annotate service")
+    p_serve.add_argument("--policy", choices=POLICY_CHOICES, help="candidate policy")
+    _add_pipeline_flags(p_serve)
     p_serve.add_argument("--endpoint", default="127.0.0.1:8400", help="host:port to bind")
 
-    p_run = sub.add_parser("run", help="benchmark a corpus")
-    _add_common_flags(p_run)
-    p_run.add_argument("--corpus", required=True, help="CoNLL-style corpus file")
-    p_run.add_argument("--endpoint", help="annotate service URL; omit to run in-process")
-    p_run.add_argument("--out", default="out", help="report output directory")
-    p_run.add_argument("--parallel", type=int, default=1, help="concurrent documents")
+    p_run = command("run", help="benchmark a corpus")
+    p_run.add_argument("--policy", choices=POLICY_CHOICES, help="candidate policy")
+    _add_pipeline_flags(p_run)
+    _add_report_flags(p_run)
+    p_run.add_argument("--endpoint", default=None, help="annotate service URL; omit to run in-process")
+    p_run.add_argument("--parallel", type=int, help="concurrent documents")
 
-    p_ablate = sub.add_parser("ablate", help="compare candidate policies on one corpus")
-    _add_common_flags(p_ablate)
-    p_ablate.add_argument("--corpus", required=True)
-    p_ablate.add_argument("--out", default="out")
-    p_ablate.add_argument("--parallel", type=int, default=1)
+    p_ablate = command("ablate", help="compare candidate policies on one corpus")
+    _add_pipeline_flags(p_ablate)
+    _add_report_flags(p_ablate)
+    p_ablate.add_argument("--parallel", type=int, help="concurrent documents")
 
-    p_score = sub.add_parser("score", help="score a prediction file against a gold corpus")
-    p_score.add_argument("--corpus", required=True, help="gold CoNLL-style corpus file")
+    p_score = command("score", help="score a prediction file against a gold corpus")
+    _add_resource_flags(p_score)
+    _add_report_flags(p_score)
     p_score.add_argument("--predictions", required=True, help="TSV: doc_id<TAB>begin<TAB>end<TAB>entity")
-    p_score.add_argument("--dict-path")
-    p_score.add_argument("--vocab-path")
-    p_score.add_argument("--out", default="out")
-    p_score.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def _load_resources(args: argparse.Namespace) -> tuple[AliasDictionary | None, tuple[EntityId, ...] | None]:
-    dictionary = None
-    vocabulary = None
-    if getattr(args, "dict_path", None):
-        dictionary = load_alias_dictionary(Path(args.dict_path).read_bytes())
-    if getattr(args, "vocab_path", None):
-        vocabulary = load_vocabulary(Path(args.vocab_path).read_bytes())
-    return dictionary, vocabulary
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    try:
+        return RunConfig(**{name: value for name, value in vars(args).items() if name in _CONFIG_FIELDS})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
-def _full_vocabulary(
-    dictionary: AliasDictionary | None, vocabulary: tuple[EntityId, ...] | None
-) -> tuple[EntityId, ...]:
-    if vocabulary is not None:
-        return vocabulary
-    if dictionary is not None:
-        return tuple(sorted(dictionary.vocabulary, key=lambda e: e.id))
-    raise UsageError("full-vocabulary policy needs --vocab-path or --dict-path")
+@dataclasses.dataclass(frozen=True)
+class Resources:
+    """The files a RunConfig names, loaded once per command."""
+
+    dictionary: AliasDictionary | None
+    vocabulary_file: tuple[EntityId, ...] | None
+    embeddings: EmbeddingTable
+
+    @functools.cached_property
+    def vocabulary(self) -> tuple[EntityId, ...] | None:
+        """The vocabulary file, else the dictionary's entities ordered by id.
+
+        Resolved on first use: a dictionary-policy service never needs it.
+        """
+        if self.vocabulary_file is None and self.dictionary is not None:
+            return tuple(sorted(self.dictionary.vocabulary, key=lambda e: e.id))
+        return self.vocabulary_file
+
+    @property
+    def inkb(self) -> frozenset[EntityId] | None:
+        """The in-KB scoring set: every non-None vocabulary entity."""
+        if self.vocabulary is None:
+            return None
+        return frozenset(e for e in self.vocabulary if not e.is_none)
 
 
-def build_policy(
-    mode: str,
-    dictionary: AliasDictionary | None,
-    vocabulary: tuple[EntityId, ...] | None,
-) -> CandidatePolicy:
-    if mode == "dict":
-        if dictionary is None:
+def load_resources(config: RunConfig) -> Resources:
+    """Load the dictionary, vocabulary and (for coherence) embeddings."""
+    dictionary = vocabulary = None
+    if config.dict_path:
+        dictionary = load_alias_dictionary(Path(config.dict_path).read_bytes())
+    if config.vocab_path:
+        vocabulary = load_vocabulary(Path(config.vocab_path).read_bytes())
+    embeddings = EmbeddingTable.empty()
+    if config.linker == "coherence" and config.embeddings_path:
+        embeddings = load_embeddings(Path(config.embeddings_path).read_bytes())
+    return Resources(dictionary, vocabulary, embeddings)
+
+
+def build_pipeline(config: RunConfig, resources: Resources) -> AnnotationPipeline:
+    """The annotate pipeline a config describes: candidate policy, linker, segmenting."""
+    if config.policy == "dict":
+        if resources.dictionary is None:
             raise UsageError("dictionary policy needs --dict-path")
-        return CandidatePolicy(CandidateMode.DICTIONARY, dictionary=dictionary)
-    if mode == "full":
-        return CandidatePolicy(CandidateMode.FULL_VOCABULARY, full_vocabulary=_full_vocabulary(dictionary, vocabulary))
-    return CandidatePolicy(CandidateMode.EMPTY)
+        policy = CandidatePolicy(CandidateMode.DICTIONARY, dictionary=resources.dictionary)
+    elif config.policy == "full":
+        if resources.vocabulary is None:
+            raise UsageError("full-vocabulary policy needs --vocab-path or --dict-path")
+        policy = CandidatePolicy(CandidateMode.FULL_VOCABULARY, full_vocabulary=resources.vocabulary)
+    else:
+        policy = CandidatePolicy(CandidateMode.EMPTY)
 
-
-def build_linker(args: argparse.Namespace, policy: CandidatePolicy) -> LinkerFn:
-    if args.linker == "prior_argmax":
-        return functools.partial(link_prior_argmax, policy=policy, max_span_tokens=args.n)
-    if args.linker == "coherence":
-        if getattr(args, "embeddings_path", None):
-            embeddings = load_embeddings(Path(args.embeddings_path).read_bytes())
-        else:
-            embeddings = EmbeddingTable.empty()
-        params = CoherenceParams.zeros(embeddings.dimension)
-        return functools.partial(
+    if config.linker == "prior_argmax":
+        linker = functools.partial(link_prior_argmax, policy=policy, max_span_tokens=config.max_span_tokens)
+    elif config.linker == "coherence":
+        linker = functools.partial(
             link_coherence_rerank,
             policy=policy,
-            embeddings=embeddings,
-            params=params,
-            top_p=args.top_p,
-            max_span_tokens=args.n,
+            embeddings=resources.embeddings,
+            params=CoherenceParams.zeros(resources.embeddings.dimension),
+            top_p=config.top_p,
+            max_span_tokens=config.max_span_tokens,
         )
-    return functools.partial(link_token_merge, policy=policy)
-
-
-def _scoring_vocabulary(
-    dictionary: AliasDictionary | None, vocabulary: tuple[EntityId, ...] | None
-) -> frozenset[EntityId] | None:
-    if vocabulary is not None:
-        return frozenset(e for e in vocabulary if not e.is_none)
-    if dictionary is not None:
-        return frozenset(e for e in dictionary.vocabulary if not e.is_none)
-    return None
+    else:
+        linker = functools.partial(link_token_merge, policy=policy)
+    return AnnotationPipeline(linker, max_tokens=config.max_tokens, name=config.linker)
 
 
 def _parse_endpoint(value: str) -> tuple[str, int]:
@@ -168,14 +191,9 @@ def _parse_endpoint(value: str) -> tuple[str, int]:
 
 def load_predictions(data: bytes | str) -> dict[str, list[RawTriple]]:
     """Parse a prediction TSV: doc_id<TAB>begin<TAB>end<TAB>entity."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     by_doc: dict[str, list[RawTriple]] = {}
-    for number, line in enumerate(data.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = line.rstrip("\n\r").split("\t")
+    for number, line in data_lines(data):
+        fields = line.split("\t")
         if len(fields) != 4:
             raise MalformedLine(f"expected 4 tab-separated fields, got {len(fields)}", number)
         doc_id, begin_text, end_text, entity = fields
@@ -189,32 +207,16 @@ def load_predictions(data: bytes | str) -> dict[str, list[RawTriple]]:
     return by_doc
 
 
-def _make_config(args: argparse.Namespace, dataset: str) -> RunConfig:
-    return RunConfig(
-        dataset=dataset,
-        policy=getattr(args, "policy", "dict"),
-        linker=getattr(args, "linker", "prior_argmax"),
-        dict_path=getattr(args, "dict_path", None),
-        vocab_path=getattr(args, "vocab_path", None),
-        embeddings_path=getattr(args, "embeddings_path", None),
-        max_span_tokens=getattr(args, "n", 5),
-        max_tokens=getattr(args, "max_tokens", 512),
-        top_p=getattr(args, "top_p", 30),
-        beam_width=getattr(args, "beam_width", 5),
-        endpoint=getattr(args, "endpoint", None),
-        out_dir=getattr(args, "out", None),
-        seed=getattr(args, "seed", 0),
-        parallel=getattr(args, "parallel", 1),
-    )
+def _read_corpus(path: str) -> Corpus:
+    corpus_path = Path(path)
+    return parse_conll(corpus_path.read_bytes(), name=corpus_path.stem)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    dictionary, vocabulary = _load_resources(args)
-    policy = build_policy(args.policy, dictionary, vocabulary)
-    pipeline = AnnotationPipeline(build_linker(args, policy), max_tokens=args.max_tokens, name=args.linker)
+def _cmd_serve(args: argparse.Namespace, config: RunConfig) -> int:
+    pipeline = build_pipeline(config, load_resources(config))
     host, port = _parse_endpoint(args.endpoint)
     service = serve(pipeline, host, port)
-    print(f"serving {args.linker} on {service.endpoint}", flush=True)
+    print(f"serving {config.linker} on {service.endpoint}", flush=True)
     try:
         service.serve_forever()
     except KeyboardInterrupt:
@@ -230,46 +232,37 @@ def _print_report_lines(report, paths) -> None:
         print(f"wrote {path}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    random.seed(args.seed)
-    corpus_path = Path(args.corpus)
-    corpus = parse_conll(corpus_path.read_bytes(), name=corpus_path.stem)
-    dictionary, vocabulary = _load_resources(args)
-    config = _make_config(args, corpus.name)
+def _cmd_run(args: argparse.Namespace, config: RunConfig) -> int:
+    corpus = _read_corpus(args.corpus)
+    resources = load_resources(config)
     if args.endpoint:
         annotator = HttpAnnotator(args.endpoint)
     else:
-        policy = build_policy(args.policy, dictionary, vocabulary)
-        annotator = InProcessAnnotator(
-            AnnotationPipeline(build_linker(args, policy), max_tokens=args.max_tokens, name=args.linker)
-        )
-    report = run_benchmark(corpus, annotator, config, vocabulary=_scoring_vocabulary(dictionary, vocabulary))
+        annotator = InProcessAnnotator(build_pipeline(config, resources))
+    report = run_benchmark(corpus, annotator, config, vocabulary=resources.inkb)
     paths = emit_report(report, Path(args.out))
     _print_report_lines(report, paths)
     return 0
 
 
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    random.seed(args.seed)
-    corpus_path = Path(args.corpus)
-    corpus = parse_conll(corpus_path.read_bytes(), name=corpus_path.stem)
-    dictionary, vocabulary = _load_resources(args)
-    if dictionary is None:
+def _cmd_ablate(args: argparse.Namespace, config: RunConfig) -> int:
+    corpus = _read_corpus(args.corpus)
+    resources = load_resources(config)
+    if resources.dictionary is None:
         raise UsageError("ablate needs --dict-path for its dictionary baseline")
-    scoring_vocab = _scoring_vocabulary(dictionary, vocabulary)
+    scoring_vocab = resources.inkb
 
     out = Path(args.out)
     reports = {}
-    for mode in ("dict", "full", "empty"):
-        policy = build_policy(mode, dictionary, vocabulary)
-        pipeline = AnnotationPipeline(build_linker(args, policy), max_tokens=args.max_tokens, name=args.linker)
-        config = _make_config(args, corpus.name)
-        report = run_benchmark(corpus, InProcessAnnotator(pipeline), config, vocabulary=scoring_vocab)
+    for mode in POLICY_CHOICES:
+        mode_config = dataclasses.replace(config, policy=mode)
+        pipeline = build_pipeline(mode_config, resources)
+        report = run_benchmark(corpus, InProcessAnnotator(pipeline), mode_config, vocabulary=scoring_vocab)
         reports[mode] = report
         emit_report(report, out / mode, label=mode)
         print(f"{mode}: P={report.micro_precision:.4f} R={report.micro_recall:.4f} F1={report.micro_f1:.4f}")
 
-    ratio_path = write_ratio_file([(mode, reports[mode].breakdown) for mode in ("dict", "full", "empty")], out / RATIO_FILE)
+    ratio_path = write_ratio_file([(mode, reports[mode].breakdown) for mode in POLICY_CHOICES], out / RATIO_FILE)
     delta_rows = []
     for mode in ("full", "empty"):
         p_d, r_d = pr_delta(reports["dict"], reports[mode])
@@ -280,19 +273,13 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
-    corpus_path = Path(args.corpus)
-    corpus = parse_conll(corpus_path.read_bytes(), name=corpus_path.stem)
+def _cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
+    corpus = _read_corpus(args.corpus)
     predictions = load_predictions(Path(args.predictions).read_bytes())
-    dictionary, vocabulary = _load_resources(args)
-    scoring_vocab = _scoring_vocabulary(dictionary, vocabulary)
+    scoring_vocab = load_resources(config).inkb
     if scoring_vocab is None:
-        from .model import make_entity
-        from .runner import derive_vocabulary
-
         pred_entities = [make_entity(e) for triples in predictions.values() for _, _, e in triples]
         scoring_vocab = derive_vocabulary(corpus, extra=pred_entities)
-    config = RunConfig(dataset=corpus.name, seed=args.seed)
     report = run_benchmark(corpus, PredictionFileAnnotator(predictions), config, vocabulary=scoring_vocab)
     paths = emit_report(report, Path(args.out))
     _print_report_lines(report, paths)
@@ -311,7 +298,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _run_config(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
-from .errors import DanglingITag, EmptyCorpus, InvalidSpan, MalformedLine
+from .errors import DanglingITag, EmptyCorpus, MalformedLine
 from .model import (
     AnnotatedDocument,
     Annotation,
@@ -25,6 +25,7 @@ from .model import (
     Span,
     TokenSpan,
     make_entity,
+    read_utf8,
 )
 
 DOCSTART = "-DOCSTART-"
@@ -87,23 +88,14 @@ class Corpus:
         return sum(len(d.gold) for d in self.documents)
 
 
-def reconstruct_text(
-    tokens: Sequence[str | ConllToken],
-    sentence_breaks: Iterable[int] = (),
-) -> tuple[str, list[TokenSpan]]:
+def reconstruct_text(tokens: Sequence[str | ConllToken]) -> tuple[str, list[TokenSpan]]:
     """Join token surfaces into a single text and report each token's span.
 
     Tokens are separated by one space, except that no space is inserted
     before a token starting with closing punctuation (.,;:!?' or a closing
     bracket) or after a token ending with an opening bracket. Sentence
-    breaks (token ordinals that begin a new sentence) do not affect
-    spacing; they are accepted so callers can hand over corpus structure
-    unchanged.
+    boundaries do not affect spacing.
     """
-    breaks = set(sentence_breaks)
-    for b in breaks:
-        if b < 0 or b > len(tokens):
-            raise InvalidSpan(f"sentence break ordinal {b} outside token range 0..{len(tokens)}")
     surfaces = [t.surface if isinstance(t, ConllToken) else t for t in tokens]
     pieces: list[str] = []
     token_spans: list[TokenSpan] = []
@@ -122,19 +114,6 @@ def reconstruct_text(
     return "".join(pieces), token_spans
 
 
-def _decode(data: bytes | str | IO[bytes]) -> str:
-    if isinstance(data, str):
-        return data
-    if isinstance(data, bytes):
-        raw = data
-    else:
-        raw = data.read()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedLine(f"input is not valid UTF-8: {exc}") from exc
-
-
 def _doc_id_from_header(line: str, ordinal: int) -> str:
     rest = line[len(DOCSTART):].strip()
     match = _DOC_ID_RE.search(rest)
@@ -151,22 +130,13 @@ class _DocBuilder:
     def __init__(self, doc_id: str):
         self.doc_id = doc_id
         self.tokens: list[ConllToken] = []
-        self.sentence_breaks: list[int] = []
-        self._pending_break = False
         # open mention run: (first token index, entity)
         self._run_start: int | None = None
         self._run_entity: EntityId | None = None
         self._runs: list[tuple[int, int, EntityId]] = []
 
-    def add_blank_line(self) -> None:
-        if self.tokens:
-            self._pending_break = True
-
     def add_token(self, token: ConllToken, line_number: int) -> None:
         index = len(self.tokens)
-        if self._pending_break:
-            self.sentence_breaks.append(index)
-            self._pending_break = False
         if token.bio_tag == "I":
             if self._run_entity is None or token.entity != self._run_entity:
                 raise DanglingITag(
@@ -188,7 +158,7 @@ class _DocBuilder:
 
     def build(self) -> AnnotatedDocument:
         self._close_run(len(self.tokens))
-        text, token_spans = reconstruct_text(self.tokens, self.sentence_breaks)
+        text, token_spans = reconstruct_text(self.tokens)
         gold = [
             Annotation(Span(token_spans[first].span.begin, token_spans[last - 1].span.end), entity)
             for first, last, entity in self._runs
@@ -207,21 +177,18 @@ def parse_conll(
     come from the reconstructed text. Raises EmptyCorpus when the input
     contains no document headers.
     """
-    text = _decode(data)
+    text = read_utf8(data)
     needed = max(layout.surface_col, layout.bio_col) + 1
     documents: list[AnnotatedDocument] = []
     builder: _DocBuilder | None = None
 
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.rstrip("\n\r")
+    for line_number, line in enumerate(text.splitlines(), start=1):
         if line.startswith(DOCSTART):
             if builder is not None:
                 documents.append(builder.build())
             builder = _DocBuilder(_doc_id_from_header(line, len(documents)))
             continue
         if not line.strip():
-            if builder is not None:
-                builder.add_blank_line()
             continue
         if builder is None:
             raise MalformedLine(f"token line before any {DOCSTART} header", line_number)

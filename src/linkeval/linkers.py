@@ -25,7 +25,7 @@ import numpy as np
 from .adapters import tokenize
 from .candidates import CandidateMode, CandidatePolicy, EntityTrie, candidates_for
 from .errors import DimensionMismatch, EmptyTrie, LengthMismatch, MalformedLine
-from .model import Annotation, EntityId, Span, TokenSpan, normalize_annotations
+from .model import Annotation, EntityId, Span, TokenSpan, normalize_annotations, read_utf8
 
 Tokenizer = Callable[[str], list[TokenSpan]]
 ScoreNext = Callable[[str, "str | None"], float]
@@ -58,18 +58,13 @@ class EmbeddingTable:
 
 
 def load_embeddings(data: bytes | str | IO[bytes]) -> EmbeddingTable:
-    """Load ``key<TAB>v1 v2 ... vd`` lines into an embedding table."""
-    if isinstance(data, str):
-        text = data
-    else:
-        raw = data if isinstance(data, bytes) else data.read()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedLine(f"input is not valid UTF-8: {exc}") from exc
+    """Load ``key<TAB>v1 v2 ... vd`` lines into an embedding table.
+
+    Only blank lines are skipped: a key may start with ``#``.
+    """
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(read_utf8(data).splitlines(), start=1):
         if not line.strip():
             continue
         key, sep, rest = line.partition("\t")
@@ -120,16 +115,14 @@ class CoherenceParams:
 
 
 def coherence_score(
-    entity: EntityId,
     context_tokens: Sequence[str],
     embeddings: EmbeddingTable,
     params: CoherenceParams,
 ) -> float:
     """Sum of weighted quadratic forms over context words with embeddings.
 
-    Under this formula the value depends only on the context; the entity
-    argument is accepted for interface compatibility with entity-conditioned
-    scorers and left unused.
+    The value depends only on the context, so every candidate of a span
+    gets the same coherence term.
     """
     if params.bilinear.shape != (embeddings.dimension, embeddings.dimension):
         raise DimensionMismatch(
@@ -228,7 +221,7 @@ def score_candidates(
     """
     mention_vecs = [v for v in (embeddings.vector(w) for w in mention_words) if v is not None]
     mention_vec = np.mean(mention_vecs, axis=0) if mention_vecs else None
-    context_term = coherence_score(candidates[0][0], context_words, embeddings, params) if candidates else 0.0
+    context_term = coherence_score(context_words, embeddings, params)
     scored: list[tuple[EntityId, float]] = []
     for entity, prior in candidates:
         entity_vec = embeddings.vector(entity)

@@ -8,9 +8,9 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import IO, Iterable, Iterator
 
-from .errors import InvalidSpan
+from .errors import InvalidSpan, MalformedLine
 
 # Reserved identifier for the "no entity" / out-of-KB marker. Corpus and
 # resource loaders map this surface form onto the single None entity.
@@ -145,5 +145,23 @@ def filter_inkb(annotations: Iterable[Annotation], vocabulary: frozenset[EntityI
     return [a for a in annotations if not a.entity.is_none and a.entity in vocabulary]
 
 
-def spans_overlap(a: Span, b: Span) -> bool:
-    return a.overlaps(b)
+def read_utf8(data: bytes | str | IO[bytes]) -> str:
+    """Decode an input file's contents; text passes through unchanged.
+
+    Raises MalformedLine when the bytes are not valid UTF-8.
+    """
+    if isinstance(data, str):
+        return data
+    raw = data if isinstance(data, bytes) else data.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(f"input is not valid UTF-8: {exc}") from exc
+
+
+def data_lines(data: bytes | str | IO[bytes]) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, line) pairs, skipping blank and ``#`` lines."""
+    for number, line in enumerate(read_utf8(data).splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield number, line

@@ -92,29 +92,15 @@ def write_delta_file(rows: Sequence[tuple[str, float, float]], path: Path) -> Pa
     return _write(path, "\n".join(lines) + "\n")
 
 
-def emit_report(
-    report: EvaluationReport,
-    out_dir: Path | str,
-    ablation_pair: tuple[EvaluationReport, EvaluationReport] | None = None,
-    label: str | None = None,
-) -> list[Path]:
+def emit_report(report: EvaluationReport, out_dir: Path | str, label: str | None = None) -> list[Path]:
     """Write a report's files into out_dir and return their paths.
 
-    Always writes the metrics CSV, the key/value summary and the error
-    ratio table. When an (baseline, ablated) pair is given, a signed
-    precision/recall delta table is written as well.
+    Writes the metrics CSV, the key/value summary and the error ratio
+    table, whose one row is labelled ``label`` or else the dataset name.
     """
-    from .scoring import pr_delta
-
     out = Path(out_dir)
-    run_label = label or report.dataset
-    written = [
+    return [
         _write(out / REPORT_CSV, CSV_HEADER + "\n" + csv_row(report) + "\n"),
         _write(out / SUMMARY_TXT, summary_text(report)),
-        write_ratio_file([(run_label, report.breakdown)], out / RATIO_FILE),
+        write_ratio_file([(label or report.dataset, report.breakdown)], out / RATIO_FILE),
     ]
-    if ablation_pair is not None:
-        baseline, ablated = ablation_pair
-        p_delta, r_delta = pr_delta(baseline, ablated)
-        written.append(write_delta_file([(run_label, p_delta, r_delta)], out / DELTA_FILE))
-    return written

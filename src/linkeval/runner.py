@@ -23,6 +23,7 @@ from typing import Mapping, Protocol, Sequence
 
 from .conll import Corpus
 from .errors import AnnotatorUnreachable, ProtocolViolation
+from .linkers import DEFAULT_MAX_SPAN_TOKENS, DEFAULT_TOP_P
 from .model import AnnotatedDocument, EntityId, normalize_annotations
 from .scoring import (
     DocumentScore,
@@ -42,21 +43,20 @@ POLICY_CHOICES = ("dict", "full", "empty")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a benchmark run depends on besides the corpus itself."""
+    """Everything a pipeline and its run depend on besides the corpus.
 
-    dataset: str = "corpus"
+    Each field is set by the CLI flag of the same name (``--n`` sets
+    ``max_span_tokens``); a report's dataset is the corpus name.
+    """
+
     policy: str = "dict"
     linker: str = "prior_argmax"
     dict_path: str | None = None
     vocab_path: str | None = None
     embeddings_path: str | None = None
-    max_span_tokens: int = 5
+    max_span_tokens: int = DEFAULT_MAX_SPAN_TOKENS
     max_tokens: int = 512
-    top_p: int = 30
-    beam_width: int = 5
-    endpoint: str | None = None
-    out_dir: str | None = None
-    seed: int = 0
+    top_p: int = DEFAULT_TOP_P
     parallel: int = 1
 
     def __post_init__(self) -> None:
@@ -64,8 +64,9 @@ class RunConfig:
             raise ValueError(f"policy must be one of {POLICY_CHOICES}, got {self.policy!r}")
         if self.linker not in LINKER_CHOICES:
             raise ValueError(f"linker must be one of {LINKER_CHOICES}, got {self.linker!r}")
-        if self.parallel < 1:
-            raise ValueError("parallel must be >= 1")
+        for name in ("max_span_tokens", "max_tokens", "top_p", "parallel"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class Annotator(Protocol):
@@ -179,7 +180,7 @@ def run_benchmark(
     else:
         breakdown = ErrorBreakdown(0.0, 0.0, 0.0, 0.0)
     return EvaluationReport(
-        dataset=config.dataset,
+        dataset=corpus.name,
         micro_precision=precision,
         micro_recall=recall,
         micro_f1=f1,

@@ -250,7 +250,7 @@ def test_acceptance_06_networked_perfection_fixture() -> None:
         CandidateMode.DICTIONARY, dictionary=load_alias_dictionary(FIXTURE_DICT_TSV)
     )
     pipeline = AnnotationPipeline(lambda text: link_prior_argmax(text, policy), name="prior")
-    config = RunConfig(dataset="perfection")
+    config = RunConfig()
 
     service = serve(pipeline)
     service.start_background()
@@ -361,7 +361,7 @@ def test_acceptance_10_wall_time_and_determinism() -> None:
         CandidateMode.DICTIONARY, dictionary=load_alias_dictionary(FIXTURE_DICT_TSV)
     )
     pipeline = AnnotationPipeline(lambda text: link_prior_argmax(text, policy), name="prior")
-    config = RunConfig(dataset="fixture", seed=0)
+    config = RunConfig()
     first = run_benchmark(corpus, InProcessAnnotator(pipeline), config)
     second = run_benchmark(corpus, InProcessAnnotator(pipeline), config)
     assert first.without_runtime() == second.without_runtime()

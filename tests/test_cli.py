@@ -13,11 +13,16 @@ from linkeval import (
     AnnotationPipeline,
     CandidateMode,
     CandidatePolicy,
+    InProcessAnnotator,
+    RunConfig,
     link_prior_argmax,
     load_alias_dictionary,
+    parse_conll,
+    run_benchmark,
     serve,
 )
-from linkeval.cli import _parse_endpoint, cli_main, load_predictions
+from linkeval import cli
+from linkeval.cli import _parse_endpoint, build_parser, build_pipeline, cli_main, load_predictions, load_resources
 from linkeval.errors import MalformedLine, UsageError
 from linkeval.reports import DELTA_FILE, RATIO_FILE, REPORT_CSV, SUMMARY_TXT
 
@@ -188,6 +193,71 @@ def test_score_malformed_predictions_is_runtime_error(workspace, tmp_path: Path)
         ]
     )
     assert rc == 1
+
+
+def test_score_non_utf8_predictions_is_runtime_error(workspace, tmp_path: Path, capsys) -> None:
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes("a1\t0\t5\tJAPAN_NT\na2\t0\t5\tSYRIA_NT\u00e9\n".encode("latin-1"))
+    rc = cli_main(
+        ["score", "--corpus", str(workspace["corpus"]), "--predictions", str(latin1), "--out", str(workspace["out"])]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: input is not valid UTF-8")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("run", "--seed", "0"),
+        ("run", "--beam-width", "5"),
+        ("ablate", "--seed", "0"),
+        ("ablate", "--beam-width", "5"),
+        ("ablate", "--policy", "full"),
+        ("score", "--seed", "0"),
+        ("serve", "--seed", "0"),
+        ("serve", "--beam-width", "5"),
+    ],
+)
+def test_removed_flags_exit_2(workspace, command: str, flag: str, value: str) -> None:
+    argv = [command, "--dict-path", str(workspace["dict"])]
+    if command != "serve":
+        argv += ["--corpus", str(workspace["corpus"])]
+    if command == "score":
+        argv += ["--predictions", str(workspace["predictions"])]
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(argv + [flag, value])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--parallel", "--max-tokens", "--n", "--top-p"])
+def test_non_positive_sizes_are_usage_errors(workspace, flag: str, capsys) -> None:
+    argv = ["run", "--corpus", str(workspace["corpus"]), "--dict-path", str(workspace["dict"])]
+    assert cli_main(argv + ["--out", str(workspace["out"]), flag, "0"]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "policy, linker", [("dict", "prior_argmax"), ("full", "coherence"), ("empty", "token_merge")]
+)
+def test_cli_run_matches_library_pipeline(workspace, monkeypatch, policy: str, linker: str) -> None:
+    reports = []
+
+    def recording_run_benchmark(*args, **kwargs):
+        reports.append(run_benchmark(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_benchmark", recording_run_benchmark)
+    argv = ["run", "--corpus", str(workspace["corpus"]), "--dict-path", str(workspace["dict"])]
+    assert cli_main(argv + ["--policy", policy, "--linker", linker, "--out", str(workspace["out"])]) == 0
+
+    config = RunConfig(policy=policy, linker=linker, dict_path=str(workspace["dict"]))
+    resources = load_resources(config)
+    corpus = parse_conll(FIXTURE_CONLL, name="fixture")
+    library = run_benchmark(
+        corpus, InProcessAnnotator(build_pipeline(config, resources)), config, vocabulary=resources.inkb
+    )
+    assert [r.without_runtime() for r in reports] == [library.without_runtime()]
 
 
 def test_ablate_orders_policies(workspace, capsys) -> None:

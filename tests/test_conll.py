@@ -26,10 +26,9 @@ def test_reconstruct_closing_punctuation_set() -> None:
 
 
 def test_reconstruct_sentence_breaks_do_not_change_spacing() -> None:
-    tokens = ["Japan", "won", ".", "Syria", "lost", "."]
-    with_breaks, _ = reconstruct_text(tokens, sentence_breaks=[3])
-    without, _ = reconstruct_text(tokens)
-    assert with_breaks == without == "Japan won. Syria lost."
+    with_breaks = parse_conll(b"-DOCSTART- (d1)\nJapan O\nwon O\n. O\n\nSyria O\nlost O\n. O\n")
+    without, _ = reconstruct_text(["Japan", "won", ".", "Syria", "lost", "."])
+    assert with_breaks.documents[0].text == without == "Japan won. Syria lost."
 
 
 def test_parse_single_doc_example() -> None:

@@ -58,29 +58,30 @@ def test_load_embeddings_errors() -> None:
 def test_coherence_single_word_identity_matrix() -> None:
     table = EmbeddingTable(dimension=2, vectors={"w": np.array([1.0, 0.0])})
     params = CoherenceParams(bilinear=np.eye(2), word_weights={"w": 1.0})
-    assert coherence_score(EntityId("X"), ["w"], table, params) == pytest.approx(1.0)
+    assert coherence_score(["w"], table, params) == pytest.approx(1.0)
 
 
 def test_coherence_zero_weights_and_empty_context() -> None:
     table = EmbeddingTable(dimension=2, vectors={"w": np.array([1.0, 2.0])})
     params = CoherenceParams(bilinear=np.eye(2), word_weights={})
-    assert coherence_score(EntityId("X"), ["w"], table, params) == 0.0
-    assert coherence_score(EntityId("X"), [], table, params) == 0.0
+    assert coherence_score(["w"], table, params) == 0.0
+    assert coherence_score([], table, params) == 0.0
 
 
 def test_coherence_is_entity_independent() -> None:
     table = EmbeddingTable(dimension=2, vectors={"w": np.array([0.5, 0.5])})
     params = CoherenceParams(bilinear=np.array([[1.0, 2.0], [0.0, 1.0]]), word_weights={"w": 2.0})
-    a = coherence_score(EntityId("A"), ["w", "nope"], table, params)
-    b = coherence_score(EntityId("B"), ["w", "nope"], table, params)
-    assert a == b != 0.0
+    term = coherence_score(["w", "nope"], table, params)
+    scored = score_candidates([], ["w", "nope"], [(EntityId("A"), 0.25), (EntityId("B"), 0.25)], table, params)
+    assert [s for _, s in scored] == [0.25 + term, 0.25 + term]
+    assert term != 0.0
 
 
 def test_coherence_dimension_mismatch() -> None:
     table = EmbeddingTable(dimension=3, vectors={})
     params = CoherenceParams(bilinear=np.eye(2))
     with pytest.raises(DimensionMismatch):
-        coherence_score(EntityId("X"), ["w"], table, params)
+        coherence_score(["w"], table, params)
 
 
 def test_enumerate_spans_count_and_order() -> None:

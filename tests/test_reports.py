@@ -12,6 +12,7 @@ from linkeval import (
     csv_row,
     delta_row,
     emit_report,
+    pr_delta,
     ratio_row,
     summary_text,
     write_delta_file,
@@ -100,12 +101,11 @@ def test_emit_report_single_writes_three_files(tmp_path: Path) -> None:
     assert ratio_lines[0] == RATIO_HEADER
 
 
-def test_emit_report_pair_adds_delta_file(tmp_path: Path) -> None:
+def test_write_delta_file_signed_percentage_points(tmp_path: Path) -> None:
     baseline = make_report(p=0.9, r=0.85)
     ablated = make_report(p=0.9, r=0.1873)
-    written = emit_report(ablated, tmp_path, ablation_pair=(baseline, ablated), label="full")
-    assert [p.name for p in written] == [REPORT_CSV, SUMMARY_TXT, RATIO_FILE, DELTA_FILE]
-    delta_lines = (tmp_path / DELTA_FILE).read_text().splitlines()
+    path = write_delta_file([("full", *pr_delta(baseline, ablated))], tmp_path / DELTA_FILE)
+    delta_lines = path.read_text().splitlines()
     assert delta_lines[0] == DELTA_HEADER
     assert delta_lines[1] == "full\t+0.00\t-66.27"
 

@@ -68,7 +68,7 @@ def test_derive_vocabulary_collects_gold_entities() -> None:
 
 def test_in_process_perfection() -> None:
     report = run_benchmark(
-        perfection_corpus(), InProcessAnnotator(fixture_pipeline()), RunConfig(dataset="perfection")
+        perfection_corpus(), InProcessAnnotator(fixture_pipeline()), RunConfig()
     )
     assert report.micro_precision == 1.0
     assert report.micro_recall == 1.0
@@ -83,8 +83,8 @@ def test_in_process_perfection() -> None:
 def test_parallel_equals_sequential() -> None:
     corpus = perfection_corpus()
     annotator = InProcessAnnotator(fixture_pipeline())
-    sequential = run_benchmark(corpus, annotator, RunConfig(dataset="perfection", parallel=1))
-    parallel = run_benchmark(corpus, annotator, RunConfig(dataset="perfection", parallel=4))
+    sequential = run_benchmark(corpus, annotator, RunConfig(parallel=1))
+    parallel = run_benchmark(corpus, annotator, RunConfig(parallel=4))
     assert parallel.without_runtime() == sequential.without_runtime()
 
 
@@ -94,7 +94,7 @@ class SilentAnnotator:
 
 
 def test_silent_annotator_zero_recall() -> None:
-    report = run_benchmark(perfection_corpus(), SilentAnnotator(), RunConfig(dataset="perfection"))
+    report = run_benchmark(perfection_corpus(), SilentAnnotator(), RunConfig())
     assert report.micro_precision == 1.0
     assert report.micro_recall == 0.0
     assert report.micro_f1 == 0.0
@@ -116,7 +116,7 @@ class BadSpanAnnotator:
 
 def test_protocol_violation_is_contained_per_document() -> None:
     annotator = BadSpanAnnotator(InProcessAnnotator(fixture_pipeline()), bad_doc_id="p2")
-    report = run_benchmark(perfection_corpus(), annotator, RunConfig(dataset="perfection"))
+    report = run_benchmark(perfection_corpus(), annotator, RunConfig())
     by_id = {d.doc_id: d for d in report.per_document}
     assert by_id["p2"].protocol_error is not None
     assert by_id["p2"].pred_count == 0
@@ -131,7 +131,7 @@ def test_protocol_violation_is_contained_per_document() -> None:
 def test_unreachable_endpoint_aborts() -> None:
     annotator = HttpAnnotator("http://127.0.0.1:9", timeout=0.5)
     with pytest.raises(AnnotatorUnreachable):
-        run_benchmark(perfection_corpus(), annotator, RunConfig(dataset="perfection"))
+        run_benchmark(perfection_corpus(), annotator, RunConfig())
     with pytest.raises(AnnotatorUnreachable):
         annotator.health()
 
@@ -142,10 +142,10 @@ def test_http_equals_in_process() -> None:
     try:
         corpus = perfection_corpus()
         networked = run_benchmark(
-            corpus, HttpAnnotator(service.endpoint), RunConfig(dataset="perfection")
+            corpus, HttpAnnotator(service.endpoint), RunConfig()
         )
         local = run_benchmark(
-            corpus, InProcessAnnotator(fixture_pipeline()), RunConfig(dataset="perfection")
+            corpus, InProcessAnnotator(fixture_pipeline()), RunConfig()
         )
         assert networked.without_runtime() == local.without_runtime()
         assert networked.micro_f1 == 1.0
@@ -160,7 +160,7 @@ def test_prediction_file_annotator_replays_by_doc_id() -> None:
         "p3": [(0, 5, "JAPAN_NT"), (11, 16, "SYRIA_NT")],
     }
     report = run_benchmark(
-        perfection_corpus(), PredictionFileAnnotator(by_doc), RunConfig(dataset="perfection")
+        perfection_corpus(), PredictionFileAnnotator(by_doc), RunConfig()
     )
     assert report.micro_f1 == 1.0
     assert PredictionFileAnnotator(by_doc).annotate("whatever", None) == []
@@ -169,7 +169,7 @@ def test_prediction_file_annotator_replays_by_doc_id() -> None:
 
 def test_goldless_corpus_yields_zero_breakdown() -> None:
     corpus = parse_conll(b"-DOCSTART- (g1)\nhello O\nworld O\n", name="goldless")
-    report = run_benchmark(corpus, SilentAnnotator(), RunConfig(dataset="goldless"))
+    report = run_benchmark(corpus, SilentAnnotator(), RunConfig())
     assert report.micro_precision == 1.0
     assert report.micro_recall == 1.0
     assert report.breakdown.as_tuple() == (0.0, 0.0, 0.0, 0.0)
@@ -179,7 +179,7 @@ def test_explicit_vocabulary_restricts_scoring() -> None:
     corpus = perfection_corpus()
     annotator = InProcessAnnotator(fixture_pipeline())
     only_japan = frozenset({EntityId("JAPAN_NT")})
-    report = run_benchmark(corpus, annotator, RunConfig(dataset="perfection"), vocabulary=only_japan)
+    report = run_benchmark(corpus, annotator, RunConfig(), vocabulary=only_japan)
     # Syria annotations vanish from both sides: still perfect, smaller totals
     assert report.micro_f1 == 1.0
     assert sum(d.gold_count for d in report.per_document) == 2
