@@ -232,7 +232,22 @@ def _print_report_lines(report, paths) -> None:
         print(f"wrote {path}")
 
 
+# flags that configure the linking pipeline, which a remote service decides
+_SERVICE_FLAGS = {
+    "policy": "--policy",
+    "linker": "--linker",
+    "max_span_tokens": "--n",
+    "max_tokens": "--max-tokens",
+    "top_p": "--top-p",
+    "embeddings_path": "--embeddings-path",
+}
+
+
 def _cmd_run(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.endpoint:
+        given = [flag for dest, flag in _SERVICE_FLAGS.items() if dest in vars(args)]
+        if given:
+            raise UsageError(f"{', '.join(given)} cannot be used with --endpoint: the service decides them")
     corpus = _read_corpus(args.corpus)
     resources = load_resources(config)
     if args.endpoint:
@@ -278,7 +293,13 @@ def _cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
     predictions = load_predictions(Path(args.predictions).read_bytes())
     scoring_vocab = load_resources(config).inkb
     if scoring_vocab is None:
-        pred_entities = [make_entity(e) for triples in predictions.values() for _, _, e in triples]
+        pred_entities = []
+        for triples in predictions.values():
+            for _, _, raw in triples:
+                try:
+                    pred_entities.append(make_entity(raw))
+                except ValueError:
+                    continue  # validate_triples reports it as its document's protocol error
         scoring_vocab = derive_vocabulary(corpus, extra=pred_entities)
     report = run_benchmark(corpus, PredictionFileAnnotator(predictions), config, vocabulary=scoring_vocab)
     paths = emit_report(report, Path(args.out))

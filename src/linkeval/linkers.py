@@ -18,7 +18,7 @@ the output is always a known entity id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -165,13 +165,19 @@ def enumerate_spans(tokens: Sequence[TokenSpan], max_length: int = DEFAULT_MAX_S
     return [span for span, _ in enumerate_token_windows(tokens, max_length)]
 
 
-def _resolve_overlaps(picked: Iterable[tuple[Span, EntityId]]) -> list[Annotation]:
-    """Greedy overlap resolution: longer spans win, then earlier, then by id."""
-    kept: list[tuple[Span, EntityId]] = []
+def _resolve_overlaps(picked: Sequence[tuple[Span, EntityId]]) -> list[Annotation]:
+    """Greedy overlap resolution: longer spans win, then earlier, then by id.
+
+    Half-open spans overlap iff they share a character, so one flag per
+    covered character decides each span in time linear in its length.
+    """
+    covered = bytearray(max((span.end for span, _ in picked), default=0))
+    kept: list[Annotation] = []
     for span, entity in sorted(picked, key=lambda p: (-len(p[0]), p[0].begin, p[1].id)):
-        if all(not span.overlaps(other) for other, _ in kept):
-            kept.append((span, entity))
-    return normalize_annotations(Annotation(span, entity) for span, entity in kept)
+        if covered.find(1, span.begin, span.end) == -1:
+            covered[span.begin:span.end] = b"\x01" * len(span)
+            kept.append(Annotation(span, entity))
+    return normalize_annotations(kept)
 
 
 def _argmax_candidate(candidates: Sequence[tuple[EntityId, float]]) -> tuple[EntityId, float] | None:
@@ -191,6 +197,8 @@ def link_prior_argmax(
 ) -> list[Annotation]:
     """Link by picking the highest-prior candidate for every token span.
 
+    That candidate is the first of the span's ranked candidate set, ties
+    having gone to the smallest id, so no span costs time per candidate.
     Spans with no candidates are ignored, as are spans whose best candidate
     is the None entity. Overlaps resolve greedily in favor of longer spans,
     then earlier ones.
@@ -199,10 +207,11 @@ def link_prior_argmax(
     picked: list[tuple[Span, EntityId]] = []
     for span, _window in enumerate_token_windows(tokens, max_span_tokens):
         surface = doc_text[span.begin:span.end]
-        best = _argmax_candidate(candidates_for(surface, policy).candidates)
-        if best is None or best[0].is_none:
+        candidates = candidates_for(surface, policy).candidates
+        # ranked by (-prior, id), so the first candidate is the argmax
+        if not candidates or candidates[0][0].is_none:
             continue
-        picked.append((span, best[0]))
+        picked.append((span, candidates[0][0]))
     return _resolve_overlaps(picked)
 
 

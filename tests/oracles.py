@@ -86,6 +86,60 @@ def oracle_match(
     return counts
 
 
+def oracle_resolve_overlaps(picked: Sequence[tuple[Span, EntityId]]) -> list[Annotation]:
+    """Greedy overlap resolution by the documented rule, with nested loops.
+
+    Candidates are tried longest first, then earliest begin, then smallest
+    entity id; one is kept when it overlaps no span kept before it. The
+    result is ordered by (begin, end, entity id).
+    """
+    order = sorted(picked, key=lambda p: (p[0].begin - p[0].end, p[0].begin, p[1].id))
+    kept: list[Annotation] = []
+    for span, entity in order:
+        clashes = False
+        for other in kept:
+            if _overlap(span, other.span):
+                clashes = True
+                break
+        if not clashes:
+            kept.append(Annotation(span, entity))
+    return sorted(kept, key=_key)
+
+
+def oracle_link_prior_argmax(
+    text: str,
+    token_spans: Sequence[Span],
+    rows: Sequence[tuple[str, EntityId, float]],
+    max_span_tokens: int,
+) -> list[Annotation]:
+    """Dictionary-policy prior argmax over alias rows (mention, entity, prior).
+
+    Every window of 1..max_span_tokens tokens looks its surface up: rows
+    whose mention equals it, else rows whose lowercased mention equals its
+    lowercase form. An entity listed twice counts with its highest prior.
+    The highest prior wins, ties going to the smallest id; a span whose
+    winner is the None entity, or that has no rows, picks nothing.
+    """
+    picked: list[tuple[Span, EntityId]] = []
+    for start in range(len(token_spans)):
+        for length in range(1, max_span_tokens + 1):
+            if start + length > len(token_spans):
+                break
+            span = Span(token_spans[start].begin, token_spans[start + length - 1].end)
+            surface = text[span.begin:span.end]
+            matching = [(e, p) for m, e, p in rows if m == surface]
+            if not matching:
+                matching = [(e, p) for m, e, p in rows if m.lower() == surface.lower()]
+            best: tuple[EntityId, float] | None = None
+            for entity, prior in matching:
+                top = max(p for e, p in matching if e == entity)
+                if best is None or top > best[1] or (top == best[1] and entity.id < best[0].id):
+                    best = (entity, top)
+            if best is not None and not best[0].is_none:
+                picked.append((span, best[0]))
+    return oracle_resolve_overlaps(picked)
+
+
 def greedy_decode(score_next: Callable[[str, str | None], float], trie: EntityTrie) -> str:
     """Step-local argmax walk; stops the first time closing wins the step.
 

@@ -205,6 +205,37 @@ def test_score_non_utf8_predictions_is_runtime_error(workspace, tmp_path: Path, 
     assert capsys.readouterr().err.startswith("error: input is not valid UTF-8")
 
 
+def test_score_without_resources_contains_invalid_entity_id(workspace, tmp_path: Path) -> None:
+    padded = tmp_path / "padded.tsv"
+    padded.write_text(PERFECT_PREDICTIONS_TSV.replace("a1\t0\t5\tJAPAN_NT", "a1\t0\t5\t JAPAN_NT"))
+    rc = cli_main(
+        ["score", "--corpus", str(workspace["corpus"]), "--predictions", str(padded), "--out", str(workspace["out"])]
+    )
+    assert rc == 0
+    summary = (workspace["out"] / SUMMARY_TXT).read_text()
+    assert "protocol_violations: 1\n" in summary
+    assert "protocol_violation[a1]: entity id must be non-empty with no surrounding whitespace" in summary
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--policy", "full"),
+        ("--linker", "coherence"),
+        ("--n", "3"),
+        ("--max-tokens", "64"),
+        ("--top-p", "5"),
+        ("--embeddings-path", "missing.tsv"),
+    ],
+)
+def test_run_endpoint_rejects_pipeline_flags(workspace, flag: str, value: str, capsys) -> None:
+    argv = ["run", "--corpus", str(workspace["corpus"]), "--dict-path", str(workspace["dict"])]
+    argv += ["--out", str(workspace["out"]), "--endpoint", "http://127.0.0.1:9"]
+    assert cli_main(argv + [flag, value]) == 2
+    assert f"usage error: {flag} cannot be used with --endpoint: the service decides them" in capsys.readouterr().err
+    assert not workspace["out"].exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

@@ -4,17 +4,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ann
-from oracles import greedy_decode, hash_scorer
+from oracles import greedy_decode, hash_scorer, oracle_link_prior_argmax, oracle_resolve_overlaps
 from linkeval import (
+    NONE_ENTITY,
+    AliasDictionary,
     CandidateMode,
     CandidatePolicy,
     CoherenceParams,
     EmbeddingTable,
     EntityId,
+    Span,
     TokenPrediction,
     build_trie,
+    candidates_for,
     coherence_score,
     constrained_beam_decode,
     enumerate_spans,
@@ -29,6 +35,7 @@ from linkeval import (
     tokenize,
 )
 from linkeval.errors import DimensionMismatch, EmptyTrie, LengthMismatch, MalformedLine
+from linkeval.linkers import _argmax_candidate, _resolve_overlaps
 
 
 def dict_policy(tsv: str) -> CandidatePolicy:
@@ -135,6 +142,57 @@ def test_prior_argmax_accepts_custom_tokenizer() -> None:
     naive = lambda text: [t for t in tokenize(text) if t.surface != "."]
     assert link_prior_argmax("Japan .", policy, tokenizer=tokenize) == [ann(0, 5, "JAPAN_NT")]
     assert link_prior_argmax("Japan .", policy, tokenizer=naive) == [ann(0, 5, "JAPAN_NT")]
+
+
+ENTITIES = (EntityId("E1"), EntityId("E2"), EntityId("E3"), NONE_ENTITY)
+MENTIONS = ("Paris", "paris", "PARIS", "Texas", "New York", "new york", "York")
+# at most four entities per mention, so no mention's priors sum above 1
+alias_rows = st.lists(
+    st.tuples(st.sampled_from(MENTIONS), st.sampled_from(ENTITIES), st.sampled_from((0.05, 0.1, 0.25))),
+    max_size=24,
+)
+picked_spans = st.lists(
+    st.tuples(
+        st.builds(lambda begin, length: Span(begin, begin + length), st.integers(0, 12), st.integers(1, 5)),
+        st.sampled_from(ENTITIES[:3]),
+    ),
+    max_size=20,
+)
+
+
+@given(picked_spans)
+@example([(Span(0, 3), EntityId("E2")), (Span(0, 3), EntityId("E1")), (Span(0, 2), EntityId("E1")),
+          (Span(2, 5), EntityId("E3")), (Span(4, 7), EntityId("E1")), (Span(9, 10), EntityId("E2"))])
+@settings(max_examples=300, deadline=None)
+def test_resolve_overlaps_matches_oracle(picked) -> None:
+    assert _resolve_overlaps(picked) == oracle_resolve_overlaps(picked)
+
+
+@given(alias_rows, st.permutations(ENTITIES))
+@settings(max_examples=200, deadline=None)
+def test_first_ranked_candidate_is_the_argmax(rows, vocabulary) -> None:
+    policies = [
+        CandidatePolicy(CandidateMode.DICTIONARY, dictionary=AliasDictionary.from_pairs(rows)),
+        CandidatePolicy(CandidateMode.FULL_VOCABULARY, full_vocabulary=tuple(vocabulary)),
+        CandidatePolicy(CandidateMode.EMPTY),
+    ]
+    for policy in policies:
+        for mention in (*MENTIONS, "pArIs", "NEW YORK", "Lyon"):
+            candidates = candidates_for(mention, policy).candidates
+            assert (candidates[0] if candidates else None) == _argmax_candidate(candidates)
+
+
+@given(
+    alias_rows,
+    st.lists(st.sampled_from(("Paris", "paris", "Texas", "New", "York", "new", "york", "the", ".")), max_size=14),
+    st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_prior_argmax_matches_oracle_linker(rows, words, max_span_tokens) -> None:
+    text = " ".join(words)
+    policy = CandidatePolicy(CandidateMode.DICTIONARY, dictionary=AliasDictionary.from_pairs(rows))
+    expected = oracle_link_prior_argmax(text, [t.span for t in tokenize(text)], rows, max_span_tokens)
+    assert link_prior_argmax(text, policy, max_span_tokens) == expected
 
 
 def test_rerank_degenerates_to_prior_argmax_without_signal() -> None:
