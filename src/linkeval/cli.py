@@ -291,6 +291,11 @@ def _cmd_ablate(args: argparse.Namespace, config: RunConfig) -> int:
 def _cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = _read_corpus(args.corpus)
     predictions = load_predictions(Path(args.predictions).read_bytes())
+    known = {doc.doc_id for doc in corpus.documents}
+    unknown = [doc_id for doc_id in predictions if doc_id not in known]
+    if unknown:
+        ignored = sum(len(predictions[doc_id]) for doc_id in unknown)
+        print(f"warning: ignored {ignored} predictions for {len(unknown)} doc ids not in the corpus", file=sys.stderr)
     scoring_vocab = load_resources(config).inkb
     if scoring_vocab is None:
         pred_entities = []

@@ -24,7 +24,7 @@ from typing import Mapping, Protocol, Sequence
 from .conll import Corpus
 from .errors import AnnotatorUnreachable, ProtocolViolation
 from .linkers import DEFAULT_MAX_SPAN_TOKENS, DEFAULT_TOP_P
-from .model import AnnotatedDocument, EntityId, normalize_annotations
+from .model import AnnotatedDocument, EntityId
 from .scoring import (
     DocumentScore,
     ErrorBreakdown,
@@ -135,7 +135,7 @@ def _score_document(
     protocol_error: str | None = None
     try:
         triples = annotator.annotate(doc.text, doc.doc_id)
-        predictions = normalize_annotations(validate_triples(triples, doc.text))
+        predictions = validate_triples(triples, doc.text)
     except ProtocolViolation as exc:
         protocol_error = str(exc)
         predictions = []

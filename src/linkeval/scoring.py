@@ -15,7 +15,9 @@ vocabulary, so out-of-KB material never influences the counts.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import DatasetMismatch, OverlappingGold, ZeroGold
@@ -61,6 +63,12 @@ def match_annotations(
     spans, then same-entity overlaps, then leftovers as over-generation;
     finally golds that no prediction overlaps are under-generated. Each
     gold matches at most one prediction exactly.
+
+    Either side may arrive in any order. Gold spans must be pairwise
+    disjoint (OverlappingGold otherwise): that is what lets pass 3 bisect
+    sorted gold ends and pass 5 sorted prediction begins, so a document
+    with G golds and P predictions costs O((G + P) log(G + P)), sorting
+    included, where a pairwise comparison would cost O(G * P).
     """
     gold_sorted = normalize_annotations(gold)
     for prev, cur in zip(gold_sorted, gold_sorted[1:]):
@@ -71,40 +79,50 @@ def match_annotations(
     gold_inkb = filter_inkb(gold_sorted, vocabulary)
     pred_inkb = filter_inkb(normalize_annotations(predicted), vocabulary)
 
-    matched_gold: set[Annotation] = set()
+    # matched golds are flagged by index; after filter_inkb no entity is the
+    # None entity, so comparing entity ids is comparing entities
+    taken = [False] * len(gold_inkb)
     pending: list[Annotation] = []
     true_positives: list[tuple[Annotation, Annotation]] = []
 
+    # disjoint gold spans are distinct, so a span names at most one gold
+    by_span = {(g.span.begin, g.span.end): i for i, g in enumerate(gold_inkb)}
+
     # pass 1: exact span and entity
-    gold_exact = {ann: ann for ann in gold_inkb}
     for pred in pred_inkb:
-        hit = gold_exact.get(pred)
-        if hit is not None and hit not in matched_gold:
-            matched_gold.add(hit)
-            true_positives.append((hit, pred))
+        i = by_span.get((pred.span.begin, pred.span.end))
+        if i is not None and not taken[i] and gold_inkb[i].entity.id == pred.entity.id:
+            taken[i] = True
+            true_positives.append((gold_inkb[i], pred))
         else:
             pending.append(pred)
 
     # pass 2: exact span, different entity
-    by_span = {ann.span: ann for ann in gold_inkb}
     incorrect_entity: list[Annotation] = []
     still_pending: list[Annotation] = []
     for pred in pending:
-        hit = by_span.get(pred.span)
-        if hit is not None and hit not in matched_gold and hit.entity != pred.entity:
+        i = by_span.get((pred.span.begin, pred.span.end))
+        if i is not None and not taken[i] and gold_inkb[i].entity.id != pred.entity.id:
             incorrect_entity.append(pred)
         else:
             still_pending.append(pred)
     pending = still_pending
 
-    # pass 3: same entity, overlapping but non-identical span
+    # pass 3: same entity, overlapping but non-identical span. Disjoint
+    # golds have ascending ends, so of one entity's untaken golds only the
+    # first that ends after pred.begin can overlap the prediction.
+    open_golds: dict[str, tuple[list[int], list[int]]] = {}
+    for g, is_taken in zip(gold_inkb, taken):
+        if not is_taken:
+            begins, ends = open_golds.setdefault(g.entity.id, ([], []))
+            begins.append(g.span.begin)
+            ends.append(g.span.end)
     incorrect_mention: list[Annotation] = []
     still_pending = []
     for pred in pending:
-        if any(
-            g not in matched_gold and g.entity == pred.entity and g.span.overlaps(pred.span)
-            for g in gold_inkb
-        ):
+        begins, ends = open_golds.get(pred.entity.id, ((), ()))
+        i = bisect_right(ends, pred.span.begin)
+        if i < len(ends) and begins[i] < pred.span.end:
             incorrect_mention.append(pred)
         else:
             still_pending.append(pred)
@@ -112,12 +130,18 @@ def match_annotations(
     # pass 4: everything left over
     over_generated = still_pending
 
-    # pass 5: golds that no prediction overlaps at all
-    under_generated = [
-        g
-        for g in gold_inkb
-        if g not in matched_gold and not any(g.span.overlaps(p.span) for p in pred_inkb)
-    ]
+    # pass 5: golds that no prediction overlaps at all. Predictions are
+    # sorted by begin; reach[k] is the furthest end among the first k + 1.
+    # A gold [b, e) is overlapped iff some prediction beginning before e
+    # ends after b.
+    pred_begins = [p.span.begin for p in pred_inkb]
+    reach = list(accumulate((p.span.end for p in pred_inkb), max))
+    under_generated = []
+    for g, is_taken in zip(gold_inkb, taken):
+        if not is_taken:
+            k = bisect_left(pred_begins, g.span.end)
+            if k == 0 or reach[k - 1] <= g.span.begin:
+                under_generated.append(g)
 
     return MatchResult(
         true_positives=tuple(true_positives),

@@ -9,6 +9,12 @@ values of the request text.
 POST /annotate runs the adapter chain (split into segments, link each
 segment, merge back) and returns annotations for the whole input. GET
 /health reports the service and linker identity.
+
+A request body must be framed by a Content-Length of at most
+MAX_BODY_BYTES: a missing header gets 411, a malformed or negative one
+400 and a larger one 413, each closing the connection unread. A client
+that stalls mid-request for REQUEST_TIMEOUT_S seconds has its connection
+closed, so no handler thread waits on it for longer.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ from .model import Span as _Span
 LinkerFn = Callable[[str], list[Annotation]]
 
 RawTriple = tuple[int, int, str]
+
+MAX_BODY_BYTES = 16 * 1024 * 1024
+REQUEST_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -133,17 +142,41 @@ class AnnotationPipeline:
 
 class _AnnotateHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_S  # per socket operation; a stalled read closes the connection
     server: "AnnotatorService"
 
-    def _reply(self, status: int, payload: bytes) -> None:
+    def _reply(self, status: int, payload: bytes, close: bool = False) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(payload)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
-    def _reply_json(self, status: int, obj: dict) -> None:
-        self._reply(status, json.dumps(obj, ensure_ascii=False).encode("utf-8"))
+    def _reply_json(self, status: int, obj: dict, close: bool = False) -> None:
+        self._reply(status, json.dumps(obj, ensure_ascii=False).encode("utf-8"), close)
+
+    def _body_length(self) -> int | None:
+        """The request's Content-Length, or None after rejecting it.
+
+        A rejected body is left unread, so the reply closes the connection.
+        """
+        header = self.headers.get("Content-Length")
+        if header is None:
+            self._reply_json(411, {"error": "length_required"}, close=True)
+            return None
+        header = header.strip()
+        if not (header.isascii() and header.isdigit()):
+            detail = f"Content-Length must be a non-negative integer, got {header!r}"
+            self._reply_json(400, {"error": "malformed_request", "detail": detail}, close=True)
+            return None
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            detail = f"body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}"
+            self._reply_json(413, {"error": "body_too_large", "detail": detail}, close=True)
+            return None
+        return length
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         if self.path != "/health":
@@ -155,11 +188,12 @@ class _AnnotateHandler(BaseHTTPRequestHandler):
         if self.path != "/annotate":
             self._reply_json(404, {"error": "not_found"})
             return
+        length = self._body_length()
+        if length is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = self.rfile.read(length)
-            request = decode_request(body)
-        except (MalformedRequest, ValueError) as exc:
+            request = decode_request(self.rfile.read(length))
+        except MalformedRequest as exc:
             self._reply_json(400, {"error": "malformed_request", "detail": str(exc)})
             return
         try:

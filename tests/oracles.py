@@ -33,21 +33,29 @@ def _overlap(a: Span, b: Span) -> bool:
     return a.begin < b.end and b.begin < a.end
 
 
-def oracle_match(
+def oracle_classify(
     gold: Sequence[Annotation],
     predicted: Sequence[Annotation],
     vocabulary: set[EntityId] | frozenset[EntityId],
-) -> Mapping[str, int]:
-    """Brute-force five-pass classification. Returns category counts."""
+) -> dict[str, tuple | int]:
+    """Brute-force five-pass classification, keyed like MatchResult's fields.
+
+    Both sides are cleaned (in-KB only, deduplicated, ordered by begin, end
+    and entity id). Every prediction category lists its predictions in that
+    order; true positives pair (gold, prediction); under-generated golds
+    follow gold order.
+    """
     golds = _clean(gold, vocabulary)
     preds = _clean(predicted, vocabulary)
     gold_taken = [False] * len(golds)
     label: dict[int, str] = {}
+    pairs: dict[int, tuple[Annotation, Annotation]] = {}
 
     for p_i, p in enumerate(preds):
         for g_i, g in enumerate(golds):
             if not gold_taken[g_i] and g.span == p.span and g.entity == p.entity:
                 label[p_i] = "tp"
+                pairs[p_i] = (g, p)
                 gold_taken[g_i] = True
                 break
 
@@ -70,20 +78,43 @@ def oracle_match(
     for p_i in range(len(preds)):
         label.setdefault(p_i, "over_generated")
 
-    under = 0
+    under: list[Annotation] = []
     for g_i, g in enumerate(golds):
         if gold_taken[g_i]:
             continue
         if not any(_overlap(g.span, p.span) for p in preds):
-            under += 1
+            under.append(g)
 
-    counts = {"tp": 0, "incorrect_entity": 0, "incorrect_mention": 0, "over_generated": 0}
-    for value in label.values():
-        counts[value] += 1
-    counts["under_generated"] = under
-    counts["gold_count"] = len(golds)
-    counts["pred_count"] = len(preds)
-    return counts
+    def labelled(category: str) -> tuple[Annotation, ...]:
+        return tuple(p for p_i, p in enumerate(preds) if label[p_i] == category)
+
+    return {
+        "true_positives": tuple(pairs.values()),  # filled in prediction order
+        "incorrect_entity": labelled("incorrect_entity"),
+        "incorrect_mention": labelled("incorrect_mention"),
+        "over_generated": labelled("over_generated"),
+        "under_generated": tuple(under),
+        "gold_count": len(golds),
+        "pred_count": len(preds),
+    }
+
+
+def oracle_match(
+    gold: Sequence[Annotation],
+    predicted: Sequence[Annotation],
+    vocabulary: set[EntityId] | frozenset[EntityId],
+) -> Mapping[str, int]:
+    """Brute-force five-pass classification. Returns category counts."""
+    classified = oracle_classify(gold, predicted, vocabulary)
+    return {
+        "tp": len(classified["true_positives"]),
+        "incorrect_entity": len(classified["incorrect_entity"]),
+        "incorrect_mention": len(classified["incorrect_mention"]),
+        "over_generated": len(classified["over_generated"]),
+        "under_generated": len(classified["under_generated"]),
+        "gold_count": classified["gold_count"],
+        "pred_count": classified["pred_count"],
+    }
 
 
 def oracle_resolve_overlaps(picked: Sequence[tuple[Span, EntityId]]) -> list[Annotation]:

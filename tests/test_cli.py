@@ -178,6 +178,22 @@ def test_score_counts_wrong_entities(workspace, tmp_path: Path) -> None:
     assert row["inc_entity"] == f"{1 / 6:.4f}"
 
 
+def test_score_warns_about_unknown_doc_ids(workspace, tmp_path: Path, capsys) -> None:
+    extra = tmp_path / "extra.tsv"
+    extra.write_text(PERFECT_PREDICTIONS_TSV + "zz\t0\t5\tJAPAN_NT\nzz\t6\t9\tSYRIA_NT\nyy\t0\t2\tCHINA_NT\n")
+    base = ["score", "--corpus", str(workspace["corpus"]), "--dict-path", str(workspace["dict"])]
+    assert cli_main([*base, "--predictions", str(workspace["predictions"]), "--out", str(tmp_path / "plain")]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli_main([*base, "--predictions", str(extra), "--out", str(tmp_path / "extra")]) == 0
+    assert capsys.readouterr().err == "warning: ignored 3 predictions for 2 doc ids not in the corpus\n"
+    for name in (REPORT_CSV, SUMMARY_TXT):
+        plain, with_extra = (
+            [line for line in (tmp_path / out / name).read_text().splitlines() if not line.startswith("runtime_ms")]
+            for out in ("plain", "extra")
+        )
+        assert with_extra == plain
+
+
 def test_score_malformed_predictions_is_runtime_error(workspace, tmp_path: Path) -> None:
     broken = tmp_path / "broken.tsv"
     broken.write_text("a1\t0\t5\n")

@@ -3,9 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import VOCAB_5, ann, random_gold, random_predictions
-from oracles import oracle_match
+from oracles import oracle_classify, oracle_match
 from linkeval import (
     DocumentScore,
     ErrorBreakdown,
@@ -127,6 +129,55 @@ def test_matches_brute_force_oracle() -> None:
         assert len(result.under_generated) == expected["under_generated"]
         assert result.gold_count == expected["gold_count"]
         assert result.pred_count == expected["pred_count"]
+
+
+# entities: two in the vocabulary, the None entity and one out of it
+CLASSIFY_ENTITIES = ("A", "B", "--NME--", "NOT_IN_VOCAB")
+
+
+@st.composite
+def scoring_instances(draw) -> tuple[list, list]:
+    """Disjoint golds, and predictions whose ends sit on or next to gold ends.
+
+    Drawing prediction offsets from the gold boundaries (and one off them)
+    yields predictions that end exactly where a gold begins, begin exactly
+    where one ends, repeat a gold span or cover several golds.
+    """
+    entity = st.sampled_from(CLASSIFY_ENTITIES)
+    gold = []
+    pos = 0
+    for gap, length, name in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4), entity), max_size=8)):
+        pos += gap
+        gold.append(ann(pos, pos + length, name))
+        pos += length
+    bounds = {0, pos + 2} | {b for g in gold for b in (g.span.begin, g.span.end)}
+    offsets = sorted({o + d for o in bounds for d in (-1, 0, 1) if o + d >= 0})
+    spans = st.tuples(st.sampled_from(offsets), st.sampled_from(offsets)).filter(lambda be: be[0] < be[1])
+    predicted = [ann(b, e, name) for (b, e), name in draw(st.lists(st.tuples(spans, entity), max_size=14))]
+    if predicted:
+        predicted += draw(st.lists(st.sampled_from(predicted), max_size=3))
+    return draw(st.permutations(gold)), draw(st.permutations(predicted))
+
+
+@given(instance=scoring_instances())
+@example(
+    # [2, 5) overlaps the taken gold [0, 3) and the untaken same-entity gold [4, 6)
+    instance=([ann(0, 3, "A"), ann(4, 6, "A")], [ann(0, 3, "A"), ann(2, 5, "A")]),
+)
+@example(
+    # [3, 5) begins where one A gold ends and ends where the other begins
+    instance=([ann(0, 3, "A"), ann(5, 7, "A")], [ann(3, 5, "A")]),
+)
+@example(
+    # [0, 9) covers both golds; the later, shorter [1, 2) must not hide it
+    instance=([ann(2, 3, "A"), ann(5, 7, "B")], [ann(0, 9, "B"), ann(1, 2, "A"), ann(1, 2, "A")]),
+)
+@settings(max_examples=400, deadline=None)
+def test_classification_matches_oracle(instance: tuple[list, list]) -> None:
+    gold, predicted = instance
+    result = match_annotations(gold, predicted, ABC_VOCAB)
+    expected = oracle_classify(gold, predicted, ABC_VOCAB)
+    assert {field: getattr(result, field) for field in expected} == expected
 
 
 def test_monotonicity_adding_exact_match() -> None:

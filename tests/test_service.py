@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -25,6 +26,7 @@ from linkeval import (
     validate_triples,
 )
 from linkeval.errors import BindFailure, MalformedRequest, ProtocolViolation
+from linkeval.service import MAX_BODY_BYTES, _AnnotateHandler
 
 printable_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=200
@@ -183,6 +185,52 @@ def test_service_malformed_request_is_400(live_service) -> None:
     status, payload = http_post(live_service.endpoint + "/annotate", b"{broken")
     assert status == 400
     assert json.loads(payload)["error"] == "malformed_request"
+
+
+def raw_exchange(service, head: bytes, body: bytes = b"", wait: float = 5.0) -> bytes:
+    """Send one raw request; return all the server sent before closing.
+
+    Raises TimeoutError when the server neither closes nor sends for
+    ``wait`` seconds, so a hung handler fails the test instead of hanging it.
+    """
+    with socket.create_connection(service.server_address[:2], timeout=wait) as sock:
+        sock.sendall(b"POST /annotate HTTP/1.1\r\nHost: test\r\n" + head + b"\r\n" + body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def status_and_error(response: bytes) -> tuple[int, str]:
+    head, _, payload = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)["error"]
+
+
+def test_missing_content_length_is_411_and_closes(live_service) -> None:
+    assert status_and_error(raw_exchange(live_service, b"", b"{}")) == (411, "length_required")
+
+
+@pytest.mark.parametrize("length", [b"-1", b"ten"])
+def test_bad_content_length_is_400_and_closes(live_service, length: bytes) -> None:
+    response = raw_exchange(live_service, b"Content-Length: " + length + b"\r\n", b"{}")
+    assert status_and_error(response) == (400, "malformed_request")
+
+
+def test_oversized_body_is_413_without_reading_it(live_service) -> None:
+    head = b"Content-Length: %d\r\n" % (MAX_BODY_BYTES + 1)
+    assert status_and_error(raw_exchange(live_service, head)) == (413, "body_too_large")
+
+
+def test_body_shorter_than_header_times_out(monkeypatch) -> None:
+    assert 0 < _AnnotateHandler.timeout <= 60
+    # the same path as the real timeout, shortened to keep the test fast
+    monkeypatch.setattr(_AnnotateHandler, "timeout", 0.5)
+    service = serve(fixture_pipeline())
+    service.start_background()
+    try:
+        assert raw_exchange(service, b"Content-Length: 100\r\n", b'{"text": "Japan"}') == b""
+    finally:
+        service.stop()
 
 
 def test_service_unknown_path_is_404(live_service) -> None:
