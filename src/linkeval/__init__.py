@@ -26,7 +26,6 @@ from .linkers import (
     TokenPrediction,
     coherence_score,
     constrained_beam_decode,
-    enumerate_spans,
     enumerate_token_windows,
     link_coherence_rerank,
     link_prior_argmax,

@@ -9,6 +9,7 @@ back to character spans.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -19,71 +20,49 @@ from .model import Annotation, Span, TokenSpan, normalize_annotations
 _PUNCT = frozenset(string.punctuation)
 _SENTENCE_FINAL = frozenset(".!?")
 _APOSTROPHES = ("'", "’")
+_CHUNK = re.compile(r"\S+")  # \s is exactly str.isspace on str patterns
 
 
-def _split_contractions(word: str) -> list[int]:
-    """Return cut positions inside a word, splitting at interior apostrophes.
+def _chunk_pieces(chunk: str) -> list[tuple[int, int]]:
+    """(begin, end) offsets of a chunk's tokens, relative to the chunk.
 
-    The negation suffix keeps its leading consonant ("don't" cuts before the
-    "n"); any other interior apostrophe starts the new piece ("Japan's" cuts
-    before the apostrophe).
+    Leading and trailing punctuation characters are detached one per token.
+    The core between them splits at interior apostrophes: the negation
+    suffix keeps its leading consonant ("don't" cuts before the "n"), any
+    other apostrophe starts the new piece ("Japan's" cuts before it).
     """
-    cuts: list[int] = []
-    last = 0
-    for i in range(1, len(word) - 1):
-        if word[i] not in _APOSTROPHES:
-            continue
-        cut = i - 1 if (word[i - 1] in "nN" and word[i + 1] in "tT") else i
-        if cut > last:
-            cuts.append(cut)
-            last = cut
-    return cuts
+    left, right = 0, len(chunk)
+    while left < right and chunk[left] in _PUNCT:
+        left += 1
+    while right > left and chunk[right - 1] in _PUNCT:
+        right -= 1
+    bounds = list(range(left + 1))
+    for i in range(left + 1, right - 1):
+        if chunk[i] in _APOSTROPHES:
+            cut = i - 1 if (chunk[i - 1] in "nN" and chunk[i + 1] in "tT") else i
+            if cut > bounds[-1]:
+                bounds.append(cut)
+    bounds.extend(range(max(right, bounds[-1] + 1), len(chunk) + 1))
+    return list(zip(bounds, bounds[1:]))
 
 
 def tokenize(text: str) -> list[TokenSpan]:
     """Split text into word tokens with exact character offsets.
 
-    Whitespace separates chunks; leading and trailing punctuation characters
-    are detached one per token; contractions split at apostrophes. For every
-    returned token, text[span.begin:span.end] == surface.
+    Whitespace (``str.isspace``) separates chunks; leading and trailing
+    punctuation characters are detached one per token; contractions split
+    at apostrophes. For every returned token,
+    text[span.begin:span.end] == surface.
     """
     tokens: list[TokenSpan] = []
-
-    def emit(begin: int, piece: str) -> None:
-        tokens.append(TokenSpan(len(tokens), Span(begin, begin + len(piece)), piece))
-
-    pos = 0
-    length = len(text)
-    while pos < length:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        start = pos
-        while pos < length and not text[pos].isspace():
-            pos += 1
-        chunk = text[start:pos]
-
-        left = 0
-        right = len(chunk)
-        leading: list[int] = []
-        trailing: list[int] = []
-        while left < right and chunk[left] in _PUNCT:
-            leading.append(left)
-            left += 1
-        while right > left and chunk[right - 1] in _PUNCT:
-            trailing.append(right - 1)
-            right -= 1
-        for offset in leading:
-            emit(start + offset, chunk[offset])
-        core = chunk[left:right]
-        if core:
-            prev = 0
-            for cut in _split_contractions(core):
-                emit(start + left + prev, core[prev:cut])
-                prev = cut
-            emit(start + left + prev, core[prev:])
-        for offset in reversed(trailing):
-            emit(start + offset, chunk[offset])
+    for match in _CHUNK.finditer(text):
+        chunk = match.group()
+        start = match.start()
+        if chunk[0] in _PUNCT or chunk[-1] in _PUNCT or "'" in chunk or "’" in chunk:
+            for begin, end in _chunk_pieces(chunk):
+                tokens.append(TokenSpan(len(tokens), Span(start + begin, start + end), chunk[begin:end]))
+        else:
+            tokens.append(TokenSpan(len(tokens), Span(start, match.end()), chunk))
     return tokens
 
 

@@ -8,6 +8,7 @@ matter how the resource file was arranged.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
 
@@ -158,10 +159,15 @@ class CandidatePolicy:
     dictionary: AliasDictionary | None = None
     full_vocabulary: tuple[EntityId, ...] | None = None
     _uniform: tuple[Candidate, ...] = field(repr=False, compare=False, default=())
+    _prefix_keys: tuple[str, ...] = field(repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
-        if self.mode is CandidateMode.DICTIONARY and self.dictionary is None:
-            raise ValueError("dictionary mode requires an alias dictionary")
+        if self.mode is CandidateMode.DICTIONARY:
+            if self.dictionary is None:
+                raise ValueError("dictionary mode requires an alias dictionary")
+            # the index keys are lowercase already, and lowering is idempotent
+            keys = sorted(m.replace("ς", "σ") for m in self.dictionary.lowercase_index)
+            object.__setattr__(self, "_prefix_keys", tuple(keys))
         if self.mode is CandidateMode.FULL_VOCABULARY:
             if not self.full_vocabulary:
                 raise ValueError("full-vocabulary mode requires a vocabulary")
@@ -170,6 +176,21 @@ class CandidatePolicy:
                 raise ValueError("vocabulary contains no linkable entities")
             uniform = 1.0 / len(linkable)
             object.__setattr__(self, "_uniform", tuple((e, uniform) for e in linkable))
+
+    def may_prefix(self, surface: str) -> bool:
+        """False only if no surface that starts with this one has candidates.
+
+        Under DICTIONARY this bisects the sorted lowercase alias keys, with
+        final sigma mapped to sigma on both sides: ``str.lower`` is not
+        prefix-preserving there ("ΑΣ" lowers to "ας", "ΑΣ'Α" to "ασ'α").
+        FULL_VOCABULARY always has candidates; EMPTY never does.
+        """
+        if self.mode is CandidateMode.DICTIONARY:
+            key = surface.lower().replace("ς", "σ")
+            keys = self._prefix_keys
+            i = bisect_left(keys, key)
+            return i < len(keys) and keys[i].startswith(key)
+        return self.mode is CandidateMode.FULL_VOCABULARY
 
 
 def candidates_for(mention: str, policy: CandidatePolicy) -> CandidateSet:

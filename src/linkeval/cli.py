@@ -166,7 +166,9 @@ def build_pipeline(config: RunConfig, resources: Resources) -> AnnotationPipelin
     else:
         policy = CandidatePolicy(CandidateMode.EMPTY)
 
-    if config.linker == "prior_argmax":
+    if config.linker == "prior_argmax" or (config.linker == "coherence" and not resources.embeddings.vectors):
+        # with no vectors and zero params every coherence score is the prior,
+        # so the rerank's output is prior_argmax's; the report keeps the name
         linker = functools.partial(link_prior_argmax, policy=policy, max_span_tokens=config.max_span_tokens)
     elif config.linker == "coherence":
         linker = functools.partial(

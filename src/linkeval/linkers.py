@@ -18,12 +18,12 @@ the output is always a known entity id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .adapters import tokenize
-from .candidates import CandidateMode, CandidatePolicy, EntityTrie, candidates_for
+from .candidates import Candidate, CandidatePolicy, EntityTrie, candidates_for
 from .errors import DimensionMismatch, EmptyTrie, LengthMismatch, MalformedLine
 from .model import Annotation, EntityId, Span, TokenSpan, normalize_annotations, read_utf8
 
@@ -141,28 +141,34 @@ def coherence_score(
 
 
 def enumerate_token_windows(
-    tokens: Sequence[TokenSpan], max_length: int = DEFAULT_MAX_SPAN_TOKENS
+    tokens: Sequence[TokenSpan],
+    max_length: int = DEFAULT_MAX_SPAN_TOKENS,
+    *,
+    text: str,
+    policy: CandidatePolicy,
 ) -> list[tuple[Span, tuple[int, int]]]:
-    """All contiguous token windows of 1..max_length tokens.
+    """Contiguous token windows of 1..max_length tokens that may have candidates.
 
     Returns (character span, (first_token, last_token_exclusive)) pairs in
-    (start, length) lexicographic order.
+    (start, length) lexicographic order. A window grows from its start
+    token only while ``policy.may_prefix`` holds for its surface in
+    ``text``, the string the tokens index into, so the windows left out
+    are exactly those no candidate can start with; the full policy keeps
+    every window. This needs tokens in text order, as ``tokenize`` returns
+    them.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
     out: list[tuple[Span, tuple[int, int]]] = []
     total = len(tokens)
     for start in range(total):
-        for length in range(1, min(max_length, total - start) + 1):
-            first = tokens[start]
-            last = tokens[start + length - 1]
-            out.append((Span(first.span.begin, last.span.end), (start, start + length)))
+        begin = tokens[start].span.begin
+        for stop in range(start + 1, min(start + max_length, total) + 1):
+            end = tokens[stop - 1].span.end
+            if not policy.may_prefix(text[begin:end]):
+                break
+            out.append((Span(begin, end), (start, stop)))
     return out
-
-
-def enumerate_spans(tokens: Sequence[TokenSpan], max_length: int = DEFAULT_MAX_SPAN_TOKENS) -> list[Span]:
-    """Character spans of all token windows up to max_length tokens."""
-    return [span for span, _ in enumerate_token_windows(tokens, max_length)]
 
 
 def _resolve_overlaps(picked: Sequence[tuple[Span, EntityId]]) -> list[Annotation]:
@@ -200,14 +206,14 @@ def link_prior_argmax(
     That candidate is the first of the span's ranked candidate set, ties
     having gone to the smallest id, so no span costs time per candidate.
     Spans with no candidates are ignored, as are spans whose best candidate
-    is the None entity. Overlaps resolve greedily in favor of longer spans,
+    is the None entity; windows the policy's prefix test rules out are
+    never looked up. Overlaps resolve greedily in favor of longer spans,
     then earlier ones.
     """
     tokens = tokenizer(doc_text)
     picked: list[tuple[Span, EntityId]] = []
-    for span, _window in enumerate_token_windows(tokens, max_span_tokens):
-        surface = doc_text[span.begin:span.end]
-        candidates = candidates_for(surface, policy).candidates
+    for span, _window in enumerate_token_windows(tokens, max_span_tokens, text=doc_text, policy=policy):
+        candidates = candidates_for(doc_text[span.begin:span.end], policy).candidates
         # ranked by (-prior, id), so the first candidate is the argmax
         if not candidates or candidates[0][0].is_none:
             continue
@@ -259,9 +265,8 @@ def link_coherence_rerank(
         raise ValueError(f"top_p must be >= 1, got {top_p}")
     tokens = tokenizer(doc_text)
     picked: list[tuple[Span, EntityId]] = []
-    for span, (first, last) in enumerate_token_windows(tokens, max_span_tokens):
-        surface = doc_text[span.begin:span.end]
-        pool = candidates_for(surface, policy).candidates[:top_p]
+    for span, (first, last) in enumerate_token_windows(tokens, max_span_tokens, text=doc_text, policy=policy):
+        pool = candidates_for(doc_text[span.begin:span.end], policy).candidates[:top_p]
         if not pool:
             continue
         window = params.context_window
@@ -352,7 +357,11 @@ def merge_token_predictions(
                 choice = entity
                 break
         choices.append(choice)
+    return _merge_runs(choices, tokens)
 
+
+def _merge_runs(choices: Sequence[EntityId | None], tokens: Sequence[TokenSpan]) -> list[Annotation]:
+    """One annotation per run of adjacent tokens with the same non-None choice."""
     annotations: list[Annotation] = []
     run_start: int | None = None
     run_entity: EntityId | None = None
@@ -371,6 +380,18 @@ def merge_token_predictions(
     return normalize_annotations(annotations)
 
 
+def _top_hypothesis(candidates: Iterable[Candidate]) -> EntityId | None:
+    """The strongest of a token's hypotheses, None meaning no link.
+
+    The hypotheses are the token's non-None candidates scored by prior plus
+    a no-link entry carrying the leftover prior mass; on a tie the
+    candidate, listed first, wins.
+    """
+    entries = [(e, p) for e, p in candidates if not e.is_none]
+    leftover = max(0.0, 1.0 - sum(p for _, p in entries))
+    return entries[0][0] if entries and entries[0][1] >= leftover else None
+
+
 def link_token_merge(
     doc_text: str,
     policy: CandidatePolicy,
@@ -379,17 +400,21 @@ def link_token_merge(
 ) -> list[Annotation]:
     """Per-token linking driven by candidate priors.
 
-    Each token's hypotheses are its own candidates scored by prior, plus a
-    no-link entry carrying the leftover prior mass; merge_token_predictions
-    then assembles runs of agreeing tokens.
+    Each token takes its strongest hypothesis (_top_hypothesis); runs of
+    adjacent tokens that agree become one annotation. This is what
+    merge_token_predictions makes of those hypotheses, since every entity
+    among them is one of the token's own candidates.
     """
     tokens = tokenizer(doc_text)
-    predictions: list[TokenPrediction] = []
+    # tokens share candidate tuples (a repeated surface, or the full policy's
+    # one uniform tuple), so each distinct tuple is scored once; holding the
+    # tuple keeps its id from being reused within the call
+    by_tuple: dict[int, tuple[tuple[Candidate, ...], EntityId | None]] = {}
+    choices: list[EntityId | None] = []
     for token in tokens:
-        cands = candidates_for(token.surface, policy).candidates
-        entries: list[tuple[EntityId | None, float]] = [(e, p) for e, p in cands if not e.is_none]
-        leftover = max(0.0, 1.0 - sum(p for _, p in entries))
-        entries.append((None, leftover))
-        entries.sort(key=lambda e: -e[1])
-        predictions.append(TokenPrediction(token.token_index, tuple(entries)))
-    return merge_token_predictions(predictions, tokens, policy)
+        candidates = candidates_for(token.surface, policy).candidates
+        hit = by_tuple.get(id(candidates))
+        if hit is None:
+            hit = by_tuple[id(candidates)] = (candidates, _top_hypothesis(candidates))
+        choices.append(hit[1])
+    return _merge_runs(choices, tokens)

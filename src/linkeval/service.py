@@ -12,15 +12,19 @@ segment, merge back) and returns annotations for the whole input. GET
 
 A request body must be framed by a Content-Length of at most
 MAX_BODY_BYTES: a missing header gets 411, a malformed or negative one
-400 and a larger one 413, each closing the connection unread. A client
-that stalls mid-request for REQUEST_TIMEOUT_S seconds has its connection
-closed, so no handler thread waits on it for longer.
+400 and a larger one 413, each closing the connection unread, as does
+the 404 for a POST to any other path. A linker failure gets a 500 that
+names the exception class, not its message; the traceback goes to the
+server's stderr. A client that stalls mid-request for REQUEST_TIMEOUT_S
+seconds has its connection closed, so no handler thread waits on it for
+longer.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Sequence
@@ -186,7 +190,8 @@ class _AnnotateHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         if self.path != "/annotate":
-            self._reply_json(404, {"error": "not_found"})
+            # the body is left unread, so it must not be parsed as a request
+            self._reply_json(404, {"error": "not_found"}, close=True)
             return
         length = self._body_length()
         if length is None:
@@ -198,8 +203,9 @@ class _AnnotateHandler(BaseHTTPRequestHandler):
             return
         try:
             triples = self.server.pipeline.annotate_triples(request.text)
-        except Exception as exc:  # surface linker failures as a server error
-            self._reply_json(500, {"error": "annotator_failure", "detail": str(exc)})
+        except Exception as exc:  # surface linker failures as a server error, without their message
+            traceback.print_exc()  # the message and traceback stay on the server's stderr
+            self._reply_json(500, {"error": "annotator_failure", "detail": type(exc).__name__})
             return
         self._reply(200, encode_response(AnnotateResponse(annotations=tuple(triples))))
 

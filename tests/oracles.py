@@ -8,9 +8,10 @@ types, so a bug in the production code cannot hide in a shared helper.
 from __future__ import annotations
 
 import hashlib
+import string
 from typing import Callable, Iterable, Mapping, Sequence
 
-from linkeval import Annotation, EntityId, EntityTrie, Span
+from linkeval import Annotation, EntityId, EntityTrie, Span, TokenSpan
 
 
 def _inkb(ann: Annotation, vocabulary: set[EntityId] | frozenset[EntityId]) -> bool:
@@ -135,6 +136,52 @@ def oracle_resolve_overlaps(picked: Sequence[tuple[Span, EntityId]]) -> list[Ann
         if not clashes:
             kept.append(Annotation(span, entity))
     return sorted(kept, key=_key)
+
+
+def oracle_tokenize(text: str) -> list[TokenSpan]:
+    """The tokenizer's rules as a per-character walk.
+
+    Chunks are maximal runs of characters that are not ``str.isspace``.
+    Leading and trailing ASCII punctuation is detached one character per
+    token. The rest splits at interior apostrophes: before the "n" of
+    "n't", else before the apostrophe.
+    """
+    punct = set(string.punctuation)
+    tokens: list[TokenSpan] = []
+
+    def emit(begin: int, piece: str) -> None:
+        tokens.append(TokenSpan(len(tokens), Span(begin, begin + len(piece)), piece))
+
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        start = pos
+        while pos < len(text) and not text[pos].isspace():
+            pos += 1
+        chunk = text[start:pos]
+        left, right = 0, len(chunk)
+        while left < right and chunk[left] in punct:
+            left += 1
+        while right > left and chunk[right - 1] in punct:
+            right -= 1
+        for offset in range(left):
+            emit(start + offset, chunk[offset])
+        core = chunk[left:right]
+        prev = 0
+        for i in range(1, len(core) - 1):
+            if core[i] not in ("'", "’"):
+                continue
+            cut = i - 1 if (core[i - 1] in "nN" and core[i + 1] in "tT") else i
+            if cut > prev:
+                emit(start + left + prev, core[prev:cut])
+                prev = cut
+        if core:
+            emit(start + left + prev, core[prev:])
+        for offset in range(right, len(chunk)):
+            emit(start + offset, chunk[offset])
+    return tokens
 
 
 def oracle_link_prior_argmax(

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+import string
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ann
+from oracles import oracle_tokenize
 from linkeval import (
     Span,
     SubtokenMap,
@@ -63,6 +66,22 @@ def test_tokenize_offsets_slice_back(text: str) -> None:
     # every non-whitespace character is covered by exactly one token
     covered = sum(len(t.surface) for t in tokens)
     assert covered == sum(1 for c in text if not c.isspace())
+
+
+WHITESPACE = tuple(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace())
+TEXT_PIECES = (*WHITESPACE, *string.punctuation, "’", "n't", "N'T", "nt", "a", "n", "N", "t", "Σ", "é", "7")
+
+
+def test_whitespace_pieces_include_the_unusual_separators() -> None:
+    assert {"\x1c", "\x1d", "\x1e", "\x1f", "\u2028", "\xa0"} <= set(WHITESPACE)
+
+
+@given(st.lists(st.sampled_from(TEXT_PIECES), max_size=40))
+@example(["\x1c", "don", "'", "t", "\u2028", "(", "N'T", ")", "\xa0", "’", "a", "’"])
+@settings(max_examples=500, deadline=None)
+def test_tokenize_matches_oracle(pieces: list[str]) -> None:
+    text = "".join(pieces)
+    assert tokenize(text) == oracle_tokenize(text)
 
 
 def make_sentences(count: int, tokens_each: int) -> str:

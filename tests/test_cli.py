@@ -15,6 +15,7 @@ from linkeval import (
     CandidatePolicy,
     InProcessAnnotator,
     RunConfig,
+    link_coherence_rerank,
     link_prior_argmax,
     load_alias_dictionary,
     parse_conll,
@@ -305,6 +306,22 @@ def test_cli_run_matches_library_pipeline(workspace, monkeypatch, policy: str, l
         corpus, InProcessAnnotator(build_pipeline(config, resources)), config, vocabulary=resources.inkb
     )
     assert [r.without_runtime() for r in reports] == [library.without_runtime()]
+
+
+def test_coherence_without_embeddings_builds_the_prior_linker(workspace, tmp_path: Path) -> None:
+    # with no vectors every coherence score is the prior, so the rerank is skipped
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_text("Japan\t0.5 1.0\nSyria\t1.0 0.0\n")
+    plain = RunConfig(policy="full", linker="coherence", dict_path=str(workspace["dict"]))
+    embedded = RunConfig(
+        policy="full", linker="coherence", dict_path=str(workspace["dict"]), embeddings_path=str(vectors)
+    )
+    without = build_pipeline(plain, load_resources(plain))
+    with_vectors = build_pipeline(embedded, load_resources(embedded))
+    assert (without.name, without.linker.func) == ("coherence", link_prior_argmax)
+    assert (with_vectors.name, with_vectors.linker.func) == ("coherence", link_coherence_rerank)
+    for document in parse_conll(FIXTURE_CONLL, name="fixture").documents:
+        assert without.annotate_triples(document.text) == with_vectors.annotate_triples(document.text)
 
 
 def test_ablate_orders_policies(workspace, capsys) -> None:

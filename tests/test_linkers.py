@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ann
-from oracles import greedy_decode, hash_scorer, oracle_link_prior_argmax, oracle_resolve_overlaps
+from oracles import greedy_decode, hash_scorer, oracle_link_prior_argmax, oracle_resolve_overlaps, oracle_tokenize
 from linkeval import (
     NONE_ENTITY,
     AliasDictionary,
@@ -23,7 +23,7 @@ from linkeval import (
     candidates_for,
     coherence_score,
     constrained_beam_decode,
-    enumerate_spans,
+    enumerate_token_windows,
     link_coherence_rerank,
     link_prior_argmax,
     link_token_merge,
@@ -34,6 +34,7 @@ from linkeval import (
     score_candidates,
     tokenize,
 )
+from linkeval import linkers
 from linkeval.errors import DimensionMismatch, EmptyTrie, LengthMismatch, MalformedLine
 from linkeval.linkers import _argmax_candidate, _resolve_overlaps
 
@@ -91,18 +92,18 @@ def test_coherence_dimension_mismatch() -> None:
         coherence_score(["w"], table, params)
 
 
-def test_enumerate_spans_count_and_order() -> None:
-    tokens = tokenize("a b c")
-    spans = enumerate_spans(tokens, 5)
+def test_enumerate_token_windows_count_and_order() -> None:
+    text = "a b c"
+    spans = [span for span, _ in enumerate_token_windows(tokenize(text), 5, text=text, policy=FULL_POLICY)]
     assert len(spans) == 6
     assert [(s.begin, s.end) for s in spans] == [(0, 1), (0, 3), (0, 5), (2, 3), (2, 5), (4, 5)]
 
 
 @pytest.mark.parametrize("total,n", [(1, 1), (4, 2), (10, 5), (3, 9)])
-def test_enumerate_spans_count_formula(total: int, n: int) -> None:
+def test_enumerate_token_windows_count_formula(total: int, n: int) -> None:
     text = " ".join("x" * 3 for _ in range(total))
     expected = sum(total - length + 1 for length in range(1, min(n, total) + 1))
-    assert len(enumerate_spans(tokenize(text), n)) == expected
+    assert len(enumerate_token_windows(tokenize(text), n, text=text, policy=FULL_POLICY)) == expected
 
 
 def test_prior_argmax_example() -> None:
@@ -145,6 +146,7 @@ def test_prior_argmax_accepts_custom_tokenizer() -> None:
 
 
 ENTITIES = (EntityId("E1"), EntityId("E2"), EntityId("E3"), NONE_ENTITY)
+FULL_POLICY = CandidatePolicy(CandidateMode.FULL_VOCABULARY, full_vocabulary=ENTITIES)
 MENTIONS = ("Paris", "paris", "PARIS", "Texas", "New York", "new york", "York")
 # at most four entities per mention, so no mention's priors sum above 1
 alias_rows = st.lists(
@@ -193,6 +195,87 @@ def test_prior_argmax_matches_oracle_linker(rows, words, max_span_tokens) -> Non
     policy = CandidatePolicy(CandidateMode.DICTIONARY, dictionary=AliasDictionary.from_pairs(rows))
     expected = oracle_link_prior_argmax(text, [t.span for t in tokenize(text)], rows, max_span_tokens)
     assert link_prior_argmax(text, policy, max_span_tokens) == expected
+
+
+# str.lower maps a capital sigma by what follows it, so these words probe
+# that window pruning stays sound when a longer window lowercases
+# differently from its prefix ("ΑΣ" -> "ας", "ΑΣ'Α" -> "ασ'α")
+SIGMA_WORDS = ("Σ", "ς", "σ", "ΑΣ", "'Α", "α", "don't", "DON'T", "do", "Paris", "york", ".")
+SIGMA_MENTIONS = ("Σ", "σ", "ς", "ΑΣ", "ας", "ασ", "ασ'α", "ΑΣ'Α", "σς", "ΣΣ", "Σα", "do", "don't", "n't",
+                  "do n't", "paris", "Paris york", "ασ σ")
+sigma_rows = st.lists(
+    st.tuples(st.sampled_from(SIGMA_MENTIONS), st.sampled_from(ENTITIES), st.sampled_from((0.05, 0.1, 0.25))),
+    max_size=24,
+)
+
+
+@given(sigma_rows, st.lists(st.sampled_from(SIGMA_WORDS), max_size=12), st.sampled_from(("", " ")), st.integers(1, 5))
+@example([("ασ'α", EntityId("E1"), 0.25)], ["ΑΣ", "'Α"], "", 2)
+@settings(max_examples=300, deadline=None)
+def test_pruned_windows_match_oracle_linker(rows, words, separator, max_span_tokens) -> None:
+    text = separator.join(words)
+    policy = CandidatePolicy(CandidateMode.DICTIONARY, dictionary=AliasDictionary.from_pairs(rows))
+    expected = oracle_link_prior_argmax(text, [t.span for t in oracle_tokenize(text)], rows, max_span_tokens)
+    assert link_prior_argmax(text, policy, max_span_tokens) == expected
+
+
+def test_pruning_keeps_a_final_sigma_prefix() -> None:
+    policy = dict_policy("ασ'α\tE1\t0.5\n")
+    assert [t.surface for t in tokenize("ΑΣ'Α")] == ["ΑΣ", "'Α"]
+    assert policy.may_prefix("ΑΣ")
+    assert not policy.may_prefix("ΑΑ")
+    assert link_prior_argmax("ΑΣ'Α", policy) == [ann(0, 4, "E1")]
+
+
+@given(st.lists(st.sampled_from(SIGMA_WORDS), max_size=12), st.sampled_from(("", " ")), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_full_policy_prunes_no_window(words, separator, max_length) -> None:
+    text = separator.join(words)
+    tokens = tokenize(text)
+    every_window = [
+        (Span(tokens[start].span.begin, tokens[stop - 1].span.end), (start, stop))
+        for start in range(len(tokens))
+        for stop in range(start + 1, min(start + max_length, len(tokens)) + 1)
+    ]
+    assert enumerate_token_windows(tokens, max_length, text=text, policy=FULL_POLICY) == every_window
+
+
+def test_empty_policy_looks_nothing_up(monkeypatch) -> None:
+    looked_up: list[str] = []
+    real = linkers.candidates_for
+    monkeypatch.setattr(linkers, "candidates_for", lambda mention, policy: looked_up.append(mention) or real(mention, policy))
+    policy = CandidatePolicy(CandidateMode.EMPTY)
+    text = "Japan beat Syria in the Asian Cup ."
+    assert enumerate_token_windows(tokenize(text), 5, text=text, policy=policy) == []
+    assert link_prior_argmax(text, policy) == []
+    assert link_coherence_rerank(text, policy, EmbeddingTable.empty(), CoherenceParams.zeros(1)) == []
+    assert looked_up == []
+
+
+def hypotheses_then_merge(text: str, policy: CandidatePolicy) -> list:
+    """link_token_merge spelled out: every token's full hypothesis list, then merge_token_predictions."""
+    tokens = tokenize(text)
+    predictions = []
+    for token in tokens:
+        entries = [(e, p) for e, p in candidates_for(token.surface, policy) if not e.is_none]
+        entries.append((None, max(0.0, 1.0 - sum(p for _, p in entries))))
+        entries.sort(key=lambda e: -e[1])
+        predictions.append(TokenPrediction(token.token_index, tuple(entries)))
+    return merge_token_predictions(predictions, tokens, policy)
+
+
+@given(alias_rows, st.lists(st.sampled_from(("Paris", "paris", "Texas", "New", "York", "the", ".")), max_size=10))
+# three priors of 0.25 leave 0.25 for no link: the tie goes to the candidate
+@example([("Paris", entity, 0.25) for entity in ENTITIES[:3]], ["Paris", "the"])
+@settings(max_examples=200, deadline=None)
+def test_token_merge_equals_merging_full_hypotheses(rows, words) -> None:
+    text = " ".join(words)
+    for policy in (
+        CandidatePolicy(CandidateMode.DICTIONARY, dictionary=AliasDictionary.from_pairs(rows)),
+        FULL_POLICY,
+        CandidatePolicy(CandidateMode.EMPTY),
+    ):
+        assert link_token_merge(text, policy) == hypotheses_then_merge(text, policy)
 
 
 def test_rerank_degenerates_to_prior_argmax_without_signal() -> None:

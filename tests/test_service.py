@@ -187,14 +187,14 @@ def test_service_malformed_request_is_400(live_service) -> None:
     assert json.loads(payload)["error"] == "malformed_request"
 
 
-def raw_exchange(service, head: bytes, body: bytes = b"", wait: float = 5.0) -> bytes:
-    """Send one raw request; return all the server sent before closing.
+def raw_exchange(service, head: bytes, body: bytes = b"", wait: float = 5.0, path: bytes = b"/annotate") -> bytes:
+    """Send one raw POST; return all the server sent before closing.
 
     Raises TimeoutError when the server neither closes nor sends for
     ``wait`` seconds, so a hung handler fails the test instead of hanging it.
     """
     with socket.create_connection(service.server_address[:2], timeout=wait) as sock:
-        sock.sendall(b"POST /annotate HTTP/1.1\r\nHost: test\r\n" + head + b"\r\n" + body)
+        sock.sendall(b"POST " + path + b" HTTP/1.1\r\nHost: test\r\n" + head + b"\r\n" + body)
         chunks = []
         while chunk := sock.recv(65536):
             chunks.append(chunk)
@@ -238,6 +238,35 @@ def test_service_unknown_path_is_404(live_service) -> None:
     assert status == 404
     status, _ = http_get(live_service.endpoint + "/nope")
     assert status == 404
+
+
+def test_post_to_unknown_path_is_404_and_closes(live_service) -> None:
+    # the unread body must not be parsed as the next request on the connection
+    smuggled = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+    head = b"Content-Length: %d\r\n" % len(smuggled)
+    response = raw_exchange(live_service, head, smuggled, path=b"/elsewhere")
+    assert response.count(b"HTTP/1.1 ") == 1
+    assert status_and_error(response) == (404, "not_found")
+
+
+def test_linker_failure_500_names_the_exception_class_only(capsys) -> None:
+    def exploding(text: str):
+        raise RuntimeError("cannot open /srv/private/model.bin")
+
+    service = serve(AnnotationPipeline(exploding, name="broken"))
+    service.start_background()
+    try:
+        body = encode_request(AnnotateRequest("Japan"))
+        head = b"Content-Length: %d\r\nConnection: close\r\n" % len(body)
+        response = raw_exchange(service, head, body)
+    finally:
+        service.stop()
+    _, _, payload = response.partition(b"\r\n\r\n")
+    assert status_and_error(response) == (500, "annotator_failure")
+    assert json.loads(payload)["detail"] == "RuntimeError"
+    # the client gets the class only; the server's stderr keeps the rest
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "cannot open /srv/private/model.bin" in err
 
 
 def test_service_health(live_service) -> None:
