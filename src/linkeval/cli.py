@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--policy", choices=POLICY_CHOICES, help="candidate policy")
     _add_pipeline_flags(p_run)
     _add_report_flags(p_run)
-    p_run.add_argument("--endpoint", default=None, help="annotate service URL; omit to run in-process")
+    p_run.add_argument("--endpoint", default=None, help="annotate service host:port or http://host:port; omit to run in-process")
     p_run.add_argument("--parallel", type=int, help="concurrent documents")
 
     p_ablate = command("ablate", help="compare candidate policies on one corpus")
@@ -185,10 +185,12 @@ def build_pipeline(config: RunConfig, resources: Resources) -> AnnotationPipelin
 
 
 def _parse_endpoint(value: str) -> tuple[str, int]:
-    host, _, port_text = value.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise UsageError(f"endpoint must look like host:port, got {value!r}")
-    return host, int(port_text)
+    """``host:port`` or ``http://host:port``, as ``serve`` binds and ``run`` connects."""
+    host, _, port_text = value.removeprefix("http://").rstrip("/").rpartition(":")
+    port = int(port_text) if port_text.isascii() and port_text.isdigit() else -1
+    if not host or "/" in host or not 0 <= port <= 65535:
+        raise UsageError(f"endpoint must look like host:port or http://host:port, got {value!r}")
+    return host, port
 
 
 def load_predictions(data: bytes | str) -> dict[str, list[RawTriple]]:
@@ -250,13 +252,18 @@ def _cmd_run(args: argparse.Namespace, config: RunConfig) -> int:
         given = [flag for dest, flag in _SERVICE_FLAGS.items() if dest in vars(args)]
         if given:
             raise UsageError(f"{', '.join(given)} cannot be used with --endpoint: the service decides them")
+        _parse_endpoint(args.endpoint)  # the form serve takes; a usage error before any file is read
     corpus = _read_corpus(args.corpus)
     resources = load_resources(config)
     if args.endpoint:
         annotator = HttpAnnotator(args.endpoint)
     else:
         annotator = InProcessAnnotator(build_pipeline(config, resources))
-    report = run_benchmark(corpus, annotator, config, vocabulary=resources.inkb)
+    try:
+        report = run_benchmark(corpus, annotator, config, vocabulary=resources.inkb)
+    finally:
+        if args.endpoint:
+            annotator.close()
     paths = emit_report(report, Path(args.out))
     _print_report_lines(report, paths)
     return 0

@@ -8,15 +8,27 @@ for the same linker, segmentation and corpus (runtime aside).
 
 Protocol failures are contained per document: the offending document is
 scored with zero predictions and noted in the report, and the run
-continues. Only an unreachable endpoint aborts the run.
+continues. Only an endpoint that cannot be connected to aborts the run.
+
+The HTTP client keeps one persistent connection per thread, with
+TCP_NODELAY set (http.client sets it on every socket it connects; the
+service sets it on its side), so small requests and replies are not held
+back by Nagle's algorithm meeting delayed ACK. Annotate is a pure function
+of the text, so a request whose connection is lost (a reset, a keep-alive
+socket the server closed, a reply cut short) is re-sent once on a fresh
+connection. A second loss, a read timeout, a reply other than HTTP 200 or
+a body that breaks the wire format is that document's protocol violation.
+A connection that failed is closed, so a reply that arrives late is never
+read as the next document's; bytes a lying Content-Length leaves behind
+fail the next request's status line, which is re-sent.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
@@ -83,36 +95,91 @@ class InProcessAnnotator:
         return self.pipeline.annotate_triples(text)
 
 
+class _Connection(http.client.HTTPConnection):
+    """A keep-alive connection for which a failed connect means unreachable."""
+
+    def connect(self) -> None:
+        try:
+            super().connect()
+        except OSError as exc:
+            self.close()  # back to idle, so a later request may try again
+            raise AnnotatorUnreachable(f"cannot reach {self.host}:{self.port}: {exc}") from exc
+
+
+# the connection was lost before a whole reply arrived; RemoteDisconnected is both
+_LOST = (ConnectionError, http.client.BadStatusLine, http.client.IncompleteRead)
+
+
 class HttpAnnotator:
-    """Speaks the wire protocol against a running annotate service."""
+    """Speaks the wire protocol against a running annotate service.
+
+    ``endpoint`` is ``host:port`` or ``http://host:port``. Each thread that
+    calls ``annotate`` keeps its own persistent connection; ``close``
+    closes them all.
+    """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
+        self._address = self.endpoint.removeprefix("http://")
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[_Connection] = []
+
+    def _connection(self) -> _Connection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = _Connection(self._address, timeout=self.timeout)
+            with self._lock:
+                self._connections.append(connection)
+        return connection
+
+    @staticmethod
+    def _send(connection: _Connection, method: str, path: str, body: bytes | None) -> tuple[int, bytes]:
+        headers = {"Content-Type": "application/json; charset=utf-8"} if body is not None else {}
+        connection.request(method, path, body=body, headers=headers)
+        response = connection.getresponse()
+        return response.status, response.read()
+
+    def _exchange(self, method: str, path: str, body: bytes | None = None) -> tuple[int, bytes]:
+        """One request and its reply's status and body.
+
+        A failed connect raises AnnotatorUnreachable. A lost connection is
+        re-sent once; any other failure closes the connection and raises
+        ProtocolViolation.
+        """
+        connection = self._connection()
+        try:
+            try:
+                return self._send(connection, method, path, body)
+            except _LOST:
+                connection.close()  # the re-sent request reconnects
+                return self._send(connection, method, path, body)
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()  # a reply arriving late must not be read as the next one
+            raise ProtocolViolation(f"{method} {path} failed: {type(exc).__name__}: {exc}") from exc
 
     def annotate(self, text: str, doc_id: str | None = None) -> list[RawTriple]:
-        body = encode_request(AnnotateRequest(text=text, doc_id=doc_id))
-        request = urllib.request.Request(
-            f"{self.endpoint}/annotate",
-            data=body,
-            headers={"Content-Type": "application/json; charset=utf-8"},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                payload = response.read()
-        except urllib.error.HTTPError as exc:
-            raise ProtocolViolation(f"annotate returned HTTP {exc.code}") from exc
-        except (urllib.error.URLError, ConnectionError, TimeoutError) as exc:
-            raise AnnotatorUnreachable(f"cannot reach {self.endpoint}: {exc}") from exc
+        status, payload = self._exchange("POST", "/annotate", encode_request(AnnotateRequest(text=text, doc_id=doc_id)))
+        if status != 200:
+            raise ProtocolViolation(f"annotate returned HTTP {status}")
         return list(decode_response(payload).annotations)
 
     def health(self) -> dict:
-        try:
-            with urllib.request.urlopen(f"{self.endpoint}/health", timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, ConnectionError, TimeoutError) as exc:
-            raise AnnotatorUnreachable(f"cannot reach {self.endpoint}: {exc}") from exc
+        status, payload = self._exchange("GET", "/health")
+        if status != 200:
+            raise ProtocolViolation(f"health returned HTTP {status}")
+        return json.loads(payload.decode("utf-8"))
+
+    def close(self) -> None:
+        """Close every connection this annotator opened, from any thread.
+
+        A thread that annotates again afterwards reconnects.
+        """
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
 
 
 class PredictionFileAnnotator:

@@ -17,12 +17,18 @@ the 404 for a POST to any other path. A linker failure gets a 500 that
 names the exception class, not its message; the traceback goes to the
 server's stderr. A client that stalls mid-request for REQUEST_TIMEOUT_S
 seconds has its connection closed, so no handler thread waits on it for
-longer.
+longer. A client that hangs up before its reply is written is not logged
+as a server error.
+
+Connections are persistent (HTTP/1.1 keep-alive) and TCP_NODELAY is set on
+each, because the reply's headers and body go out in two writes and
+Nagle's algorithm would hold the second back for the client's delayed ACK.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import traceback
 from dataclasses import dataclass
@@ -146,6 +152,7 @@ class AnnotationPipeline:
 
 class _AnnotateHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # see the module docstring
     timeout = REQUEST_TIMEOUT_S  # per socket operation; a stalled read closes the connection
     server: "AnnotatorService"
 
@@ -230,6 +237,11 @@ class AnnotatorService(ThreadingHTTPServer):
     def endpoint(self) -> str:
         host, port = self.server_address[0], self.server_address[1]
         return f"http://{host}:{port}"
+
+    def handle_error(self, request, client_address) -> None:
+        # a client that stopped waiting for its reply (a read timeout, a reset) is not a server fault
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     def start_background(self) -> None:
         self._thread = threading.Thread(target=self.serve_forever, name="linkeval-service", daemon=True)

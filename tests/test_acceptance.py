@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Mapping
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -255,7 +256,8 @@ def test_acceptance_06_networked_perfection_fixture() -> None:
     service = serve(pipeline)
     service.start_background()
     try:
-        networked = run_benchmark(corpus, HttpAnnotator(service.endpoint), config)
+        with closing(HttpAnnotator(service.endpoint)) as annotator:
+            networked = run_benchmark(corpus, annotator, config)
     finally:
         service.stop()
     local = run_benchmark(corpus, InProcessAnnotator(pipeline), config)

@@ -98,6 +98,32 @@ def test_run_against_live_endpoint_matches_in_process(workspace, capsys) -> None
     assert read_csv_row(remote_out) == read_csv_row(local_out)
 
 
+def test_run_endpoint_takes_what_serve_takes(workspace, capsys) -> None:
+    config = RunConfig(dict_path=str(workspace["dict"]))
+    service = serve(build_pipeline(config, load_resources(config)))
+    service.start_background()
+    host, port = service.server_address[:2]
+    base = ["run", "--corpus", str(workspace["corpus"]), "--dict-path", str(workspace["dict"])]
+    try:
+        assert cli_main(base + ["--out", str(workspace["out"] / "url"), "--endpoint", f"http://{host}:{port}"]) == 0
+        assert cli_main(base + ["--out", str(workspace["out"] / "bare"), "--endpoint", f"{host}:{port}"]) == 0
+    finally:
+        service.stop()
+    assert read_csv_row(workspace["out"] / "bare") == read_csv_row(workspace["out"] / "url")
+    assert read_csv_row(workspace["out"] / "url")["f1"] == "1.0000"
+    capsys.readouterr()
+    assert cli_main(base + ["--out", str(workspace["out"] / "down"), "--endpoint", "127.0.0.1:9"]) == 1
+    assert "error: cannot reach 127.0.0.1:9: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("endpoint", ["https://127.0.0.1:8400", "127.0.0.1", "127.0.0.1:99999"])
+def test_run_bad_endpoint_is_usage_error(workspace, endpoint: str, capsys) -> None:
+    argv = ["run", "--corpus", str(workspace["corpus"]), "--dict-path", str(workspace["dict"])]
+    assert cli_main(argv + ["--out", str(workspace["out"]), "--endpoint", endpoint]) == 2
+    assert f"usage error: endpoint must look like host:port or http://host:port, got {endpoint!r}" in capsys.readouterr().err
+    assert not workspace["out"].exists()
+
+
 def test_run_requires_dictionary_for_dict_policy(workspace) -> None:
     rc = cli_main(["run", "--corpus", str(workspace["corpus"]), "--out", str(workspace["out"])])
     assert rc == 2
@@ -420,6 +446,8 @@ def test_load_predictions_rejects_malformed(line: str) -> None:
 def test_parse_endpoint() -> None:
     assert _parse_endpoint("127.0.0.1:8400") == ("127.0.0.1", 8400)
     assert _parse_endpoint("localhost:0") == ("localhost", 0)
-    for bad in ("nohost", ":123", "host:abc", "host:"):
+    assert _parse_endpoint("http://127.0.0.1:8400") == ("127.0.0.1", 8400)
+    assert _parse_endpoint("http://127.0.0.1:8400/") == ("127.0.0.1", 8400)
+    for bad in ("nohost", ":123", "host:abc", "host:", "https://host:1", "http://host/x:1", "host:65536", "host:\u00b2"):
         with pytest.raises(UsageError):
             _parse_endpoint(bad)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from conftest import FIXTURE_DICT_TSV, ann
@@ -141,9 +143,8 @@ def test_http_equals_in_process() -> None:
     service.start_background()
     try:
         corpus = perfection_corpus()
-        networked = run_benchmark(
-            corpus, HttpAnnotator(service.endpoint), RunConfig()
-        )
+        with closing(HttpAnnotator(service.endpoint)) as annotator:
+            networked = run_benchmark(corpus, annotator, RunConfig())
         local = run_benchmark(
             corpus, InProcessAnnotator(fixture_pipeline()), RunConfig()
         )
