@@ -19,7 +19,7 @@ from .candidates import (
     load_alias_dictionary,
     load_vocabulary,
 )
-from .conll import ConllLayout, ConllToken, Corpus, parse_conll, reconstruct_text
+from .conll import ConllLayout, Corpus, parse_conll, reconstruct_text
 from .linkers import (
     CoherenceParams,
     EmbeddingTable,

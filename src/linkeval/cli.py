@@ -162,7 +162,10 @@ def build_pipeline(config: RunConfig, resources: Resources) -> AnnotationPipelin
     elif config.policy == "full":
         if resources.vocabulary is None:
             raise UsageError("full-vocabulary policy needs --vocab-path or --dict-path")
-        policy = CandidatePolicy(CandidateMode.FULL_VOCABULARY, full_vocabulary=resources.vocabulary)
+        try:
+            policy = CandidatePolicy(CandidateMode.FULL_VOCABULARY, full_vocabulary=resources.vocabulary)
+        except ValueError as exc:  # a vocabulary with no linkable entity
+            raise LinkEvalError(str(exc)) from exc
     else:
         policy = CandidatePolicy(CandidateMode.EMPTY)
 
@@ -277,11 +280,11 @@ def _cmd_ablate(args: argparse.Namespace, config: RunConfig) -> int:
     scoring_vocab = resources.inkb
 
     out = Path(args.out)
+    configs = {mode: dataclasses.replace(config, policy=mode) for mode in POLICY_CHOICES}
+    pipelines = {mode: build_pipeline(configs[mode], resources) for mode in POLICY_CHOICES}  # before any report
     reports = {}
     for mode in POLICY_CHOICES:
-        mode_config = dataclasses.replace(config, policy=mode)
-        pipeline = build_pipeline(mode_config, resources)
-        report = run_benchmark(corpus, InProcessAnnotator(pipeline), mode_config, vocabulary=scoring_vocab)
+        report = run_benchmark(corpus, InProcessAnnotator(pipelines[mode]), configs[mode], vocabulary=scoring_vocab)
         reports[mode] = report
         emit_report(report, out / mode, label=mode)
         print(f"{mode}: P={report.micro_precision:.4f} R={report.micro_recall:.4f} F1={report.micro_f1:.4f}")

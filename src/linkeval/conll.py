@@ -9,6 +9,12 @@ only a surface column are O tokens. Blank lines mark sentence boundaries.
 
 The entity column value ``--NME--`` denotes a mention with no KB referent
 and is mapped onto the None entity.
+
+The reader makes one pass over the lines, keeping a running character
+offset. Every bad line is a MalformedLine naming its line number: too few
+columns, an unknown tag, an empty surface, a missing or malformed entity
+id, an I tag continuing no run of its entity (DanglingITag), a token line
+before the first header, and a header repeating a document id.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .errors import DanglingITag, EmptyCorpus, MalformedLine
 from .model import (
     AnnotatedDocument,
     Annotation,
-    EntityId,
     Span,
     TokenSpan,
     make_entity,
@@ -30,31 +35,10 @@ from .model import (
 
 DOCSTART = "-DOCSTART-"
 
-# Detokenization boundary classes: no space after a token ending with an
-# opening bracket, no space before a token starting with closing punctuation.
 _OPENERS = "([{"
 _CLOSERS = ".,;:!?')]}"
 
 _DOC_ID_RE = re.compile(r"\((.*?)\)")
-
-
-@dataclass(frozen=True, slots=True)
-class ConllToken:
-    """One token line: surface form, B/I/O tag, optional entity."""
-
-    surface: str
-    bio_tag: str
-    entity: EntityId | None = None
-
-    def __post_init__(self) -> None:
-        if self.bio_tag not in ("B", "I", "O"):
-            raise ValueError(f"bio_tag must be B, I or O, got {self.bio_tag!r}")
-        if self.bio_tag == "O" and self.entity is not None:
-            raise ValueError("O tokens carry no entity")
-        if self.bio_tag in ("B", "I") and self.entity is None:
-            raise ValueError(f"{self.bio_tag} token requires an entity")
-        if not self.surface:
-            raise ValueError("token surface must be non-empty")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,11 +68,15 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def total_gold(self) -> int:
-        return sum(len(d.gold) for d in self.documents)
+
+def _separator(before: str, surface: str) -> str:
+    """The spacing rule: what goes between text ending with ``before`` ("" at the start) and the next surface."""
+    if not before or before[-1] in _OPENERS or surface[0] in _CLOSERS:
+        return ""
+    return " "
 
 
-def reconstruct_text(tokens: Sequence[str | ConllToken]) -> tuple[str, list[TokenSpan]]:
+def reconstruct_text(tokens: Sequence[str]) -> tuple[str, list[TokenSpan]]:
     """Join token surfaces into a single text and report each token's span.
 
     Tokens are separated by one space, except that no space is inserted
@@ -96,22 +84,15 @@ def reconstruct_text(tokens: Sequence[str | ConllToken]) -> tuple[str, list[Toke
     bracket) or after a token ending with an opening bracket. Sentence
     boundaries do not affect spacing.
     """
-    surfaces = [t.surface if isinstance(t, ConllToken) else t for t in tokens]
-    pieces: list[str] = []
+    text = ""
     token_spans: list[TokenSpan] = []
-    pos = 0
-    prev: str | None = None
-    for index, surface in enumerate(surfaces):
+    for index, surface in enumerate(tokens):
         if not surface:
             raise MalformedLine(f"token {index} has an empty surface")
-        if prev is not None and prev[-1] not in _OPENERS and surface[0] not in _CLOSERS:
-            pieces.append(" ")
-            pos += 1
-        pieces.append(surface)
-        token_spans.append(TokenSpan(index, Span(pos, pos + len(surface)), surface))
-        pos += len(surface)
-        prev = surface
-    return "".join(pieces), token_spans
+        text += _separator(text, surface)
+        token_spans.append(TokenSpan(index, Span(len(text), len(text) + len(surface)), surface))
+        text += surface
+    return text, token_spans
 
 
 def _doc_id_from_header(line: str, ordinal: int) -> str:
@@ -124,46 +105,9 @@ def _doc_id_from_header(line: str, ordinal: int) -> str:
     return f"doc-{ordinal}"
 
 
-class _DocBuilder:
-    """Accumulates one document's tokens, then materializes it."""
-
-    def __init__(self, doc_id: str):
-        self.doc_id = doc_id
-        self.tokens: list[ConllToken] = []
-        # open mention run: (first token index, entity)
-        self._run_start: int | None = None
-        self._run_entity: EntityId | None = None
-        self._runs: list[tuple[int, int, EntityId]] = []
-
-    def add_token(self, token: ConllToken, line_number: int) -> None:
-        index = len(self.tokens)
-        if token.bio_tag == "I":
-            if self._run_entity is None or token.entity != self._run_entity:
-                raise DanglingITag(
-                    f"I tag without a preceding B/I tag for the same entity ({token.surface!r})",
-                    line_number,
-                )
-        else:
-            self._close_run(index)
-            if token.bio_tag == "B":
-                self._run_start = index
-                self._run_entity = token.entity
-        self.tokens.append(token)
-
-    def _close_run(self, end_index: int) -> None:
-        if self._run_start is not None and self._run_entity is not None:
-            self._runs.append((self._run_start, end_index, self._run_entity))
-        self._run_start = None
-        self._run_entity = None
-
-    def build(self) -> AnnotatedDocument:
-        self._close_run(len(self.tokens))
-        text, token_spans = reconstruct_text(self.tokens)
-        gold = [
-            Annotation(Span(token_spans[first].span.begin, token_spans[last - 1].span.end), entity)
-            for first, last, entity in self._runs
-        ]
-        return AnnotatedDocument(self.doc_id, text, gold=tuple(gold))
+def _document(doc_id: str, pieces: list[str], mentions: list[list]) -> AnnotatedDocument:
+    gold = tuple(Annotation(Span(begin, end), entity) for begin, end, entity in mentions)
+    return AnnotatedDocument(doc_id, "".join(pieces), gold=gold)
 
 
 def parse_conll(
@@ -173,46 +117,72 @@ def parse_conll(
 ) -> Corpus:
     """Parse a CoNLL-style file into a corpus of annotated documents.
 
-    Gold annotations are built from maximal B/I runs; their character spans
-    come from the reconstructed text. Raises EmptyCorpus when the input
-    contains no document headers.
+    Gold annotations are the character spans of maximal B/I runs in the
+    reconstructed text. Raises EmptyCorpus when the input contains no
+    document headers.
     """
     text = read_utf8(data)
-    needed = max(layout.surface_col, layout.bio_col) + 1
+    surface_col, bio_col, entity_col = layout.surface_col, layout.bio_col, layout.entity_col
+    needed = max(surface_col, bio_col) + 1
     documents: list[AnnotatedDocument] = []
-    builder: _DocBuilder | None = None
+    doc_ids: set[str] = set()
+    doc_id: str | None = None
 
     for line_number, line in enumerate(text.splitlines(), start=1):
         if line.startswith(DOCSTART):
-            if builder is not None:
-                documents.append(builder.build())
-            builder = _DocBuilder(_doc_id_from_header(line, len(documents)))
+            if doc_id is not None:
+                documents.append(_document(doc_id, pieces, mentions))
+            doc_id = _doc_id_from_header(line, len(documents))
+            if doc_id in doc_ids:
+                raise MalformedLine(f"duplicate document id {doc_id!r}", line_number)
+            doc_ids.add(doc_id)
+            # the text's pieces, [begin, end, entity] per B/I run (an I tag moves the last end),
+            # the running offset, the previous surface and the open run's raw entity column
+            pieces, mentions, pos, prev, run = [], [], 0, "", None
             continue
         if not line.strip():
             continue
-        if builder is None:
+        if doc_id is None:
             raise MalformedLine(f"token line before any {DOCSTART} header", line_number)
 
         fields = line.split("\t") if "\t" in line else line.split()
-        if len(fields) == layout.surface_col + 1:
-            token = ConllToken(fields[layout.surface_col], "O")
-        else:
+        tag = "O"
+        if len(fields) != surface_col + 1:
             if len(fields) < needed:
                 raise MalformedLine(f"expected 1 or >={needed} columns, got {len(fields)}", line_number)
-            bio = fields[layout.bio_col]
-            if bio == "O":
-                token = ConllToken(fields[layout.surface_col], "O")
-            elif bio in ("B", "I"):
-                if len(fields) <= layout.entity_col:
-                    raise MalformedLine(f"{bio} token without an entity column", line_number)
-                entity = make_entity(fields[layout.entity_col])
-                token = ConllToken(fields[layout.surface_col], bio, entity)
-            else:
-                raise MalformedLine(f"unknown tag {bio!r}, expected B, I or O", line_number)
-        builder.add_token(token, line_number)
+            tag = fields[bio_col]
+            if tag == "B" or tag == "I":
+                if len(fields) <= entity_col:
+                    raise MalformedLine(f"{tag} token without an entity column", line_number)
+                raw = fields[entity_col]
+                if raw != run or tag == "B":
+                    try:
+                        entity = make_entity(raw)
+                    except ValueError as exc:
+                        raise MalformedLine(str(exc), line_number) from exc
+            elif tag != "O":
+                raise MalformedLine(f"unknown tag {tag!r}, expected B, I or O", line_number)
+        surface = fields[surface_col]
+        if not surface:
+            raise MalformedLine("token surface must be non-empty", line_number)
+        if tag == "I" and raw != run:
+            raise DanglingITag(f"I tag without a preceding B/I tag for the same entity ({surface!r})", line_number)
 
-    if builder is not None:
-        documents.append(builder.build())
+        separator = _separator(prev, surface)
+        begin = pos + len(separator)
+        pos = begin + len(surface)
+        pieces += (separator, surface)
+        prev = surface
+        if tag == "B":
+            mentions.append([begin, pos, entity])
+            run = raw
+        elif tag == "I":
+            mentions[-1][1] = pos
+        else:
+            run = None
+
+    if doc_id is not None:
+        documents.append(_document(doc_id, pieces, mentions))
     if not documents:
         raise EmptyCorpus("no documents found in input")
     return Corpus(name=name, documents=tuple(documents))

@@ -18,7 +18,8 @@ names the exception class, not its message; the traceback goes to the
 server's stderr. A client that stalls mid-request for REQUEST_TIMEOUT_S
 seconds has its connection closed, so no handler thread waits on it for
 longer. A client that hangs up before its reply is written is not logged
-as a server error.
+as a server error. stop() ends the keep-alive connections still open, so
+a stopped service answers no further request.
 
 Connections are persistent (HTTP/1.1 keep-alive) and TCP_NODELAY is set on
 each, because the reply's headers and body go out in two writes and
@@ -27,7 +28,9 @@ Nagle's algorithm would hold the second back for the client's delayed ACK.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import sys
 import threading
 import traceback
@@ -232,6 +235,8 @@ class AnnotatorService(ThreadingHTTPServer):
         except OSError as exc:
             raise BindFailure(f"cannot bind {address[0]}:{address[1]}: {exc}") from exc
         self._thread: threading.Thread | None = None
+        self._connections: set[socket.socket] = set()  # accepted and not yet closed
+        self._connections_lock = threading.Lock()
 
     @property
     def endpoint(self) -> str:
@@ -243,6 +248,17 @@ class AnnotatorService(ThreadingHTTPServer):
         if not isinstance(sys.exc_info()[1], ConnectionError):
             super().handle_error(request, client_address)
 
+    def get_request(self) -> tuple[socket.socket, tuple]:
+        request, client_address = super().get_request()
+        with self._connections_lock:
+            self._connections.add(request)
+        return request, client_address
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
     def start_background(self) -> None:
         self._thread = threading.Thread(target=self.serve_forever, name="linkeval-service", daemon=True)
         self._thread.start()
@@ -253,6 +269,11 @@ class AnnotatorService(ThreadingHTTPServer):
             self._thread.join(timeout=5)
             self._thread = None
         self.server_close()
+        # each handler of a kept-alive connection then reads end-of-stream and closes its socket
+        with self._connections_lock:
+            for connection in self._connections:
+                with contextlib.suppress(OSError):  # the peer may be gone already
+                    connection.shutdown(socket.SHUT_RDWR)
 
 
 def serve(pipeline: AnnotationPipeline, host: str = "127.0.0.1", port: int = 0) -> AnnotatorService:

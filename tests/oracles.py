@@ -8,10 +8,23 @@ types, so a bug in the production code cannot hide in a shared helper.
 from __future__ import annotations
 
 import hashlib
+import re
 import string
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from linkeval import Annotation, EntityId, EntityTrie, Span, TokenSpan
+from linkeval import (
+    AnnotatedDocument,
+    Annotation,
+    ConllLayout,
+    Corpus,
+    EntityId,
+    EntityTrie,
+    Span,
+    TokenSpan,
+    make_entity,
+)
+from linkeval.errors import DanglingITag, EmptyCorpus, MalformedLine
 
 
 def _inkb(ann: Annotation, vocabulary: set[EntityId] | frozenset[EntityId]) -> bool:
@@ -243,3 +256,146 @@ def hash_scorer(seed: int) -> Callable[[str, str | None], float]:
         return int.from_bytes(digest[:8], "big") / 2**63 - 1.0
 
     return score_next
+
+
+_DOCSTART = "-DOCSTART-"
+_OPENERS = "([{"
+_CLOSERS = ".,;:!?')]}"
+_DOC_ID_RE = re.compile(r"\((.*?)\)")
+
+
+@dataclass(frozen=True, slots=True)
+class ConllToken:
+    """One token line: surface form, B/I/O tag, optional entity."""
+
+    surface: str
+    bio_tag: str
+    entity: EntityId | None = None
+
+    def __post_init__(self) -> None:
+        if self.bio_tag not in ("B", "I", "O"):
+            raise ValueError(f"bio_tag must be B, I or O, got {self.bio_tag!r}")
+        if self.bio_tag == "O" and self.entity is not None:
+            raise ValueError("O tokens carry no entity")
+        if self.bio_tag in ("B", "I") and self.entity is None:
+            raise ValueError(f"{self.bio_tag} token requires an entity")
+        if not self.surface:
+            raise ValueError("token surface must be non-empty")
+
+
+def _oracle_reconstruct(tokens: Sequence[ConllToken]) -> tuple[str, list[Span]]:
+    """Join surfaces with one space, none after ``([{`` or before ``.,;:!?')]}``."""
+    pieces: list[str] = []
+    spans: list[Span] = []
+    pos = 0
+    prev: str | None = None
+    for token in tokens:
+        surface = token.surface
+        if prev is not None and prev[-1] not in _OPENERS and surface[0] not in _CLOSERS:
+            pieces.append(" ")
+            pos += 1
+        pieces.append(surface)
+        spans.append(Span(pos, pos + len(surface)))
+        pos += len(surface)
+        prev = surface
+    return "".join(pieces), spans
+
+
+def _oracle_doc_id(line: str, ordinal: int) -> str:
+    rest = line[len(_DOCSTART):].strip()
+    match = _DOC_ID_RE.search(rest)
+    if match and match.group(1):
+        return match.group(1)
+    if rest:
+        return rest
+    return f"doc-{ordinal}"
+
+
+class _DocBuilder:
+    """Accumulates one document's tokens, then materializes it."""
+
+    def __init__(self, doc_id: str):
+        self.doc_id = doc_id
+        self.tokens: list[ConllToken] = []
+        # open mention run: (first token index, entity)
+        self._run_start: int | None = None
+        self._run_entity: EntityId | None = None
+        self._runs: list[tuple[int, int, EntityId]] = []
+
+    def add_token(self, token: ConllToken, line_number: int) -> None:
+        index = len(self.tokens)
+        if token.bio_tag == "I":
+            if self._run_entity is None or token.entity != self._run_entity:
+                raise DanglingITag(
+                    f"I tag without a preceding B/I tag for the same entity ({token.surface!r})",
+                    line_number,
+                )
+        else:
+            self._close_run(index)
+            if token.bio_tag == "B":
+                self._run_start = index
+                self._run_entity = token.entity
+        self.tokens.append(token)
+
+    def _close_run(self, end_index: int) -> None:
+        if self._run_start is not None and self._run_entity is not None:
+            self._runs.append((self._run_start, end_index, self._run_entity))
+        self._run_start = None
+        self._run_entity = None
+
+    def build(self) -> AnnotatedDocument:
+        self._close_run(len(self.tokens))
+        text, spans = _oracle_reconstruct(self.tokens)
+        gold = [
+            Annotation(Span(spans[first].begin, spans[last - 1].end), entity)
+            for first, last, entity in self._runs
+        ]
+        return AnnotatedDocument(self.doc_id, text, gold=tuple(gold))
+
+
+def oracle_parse_conll(text: str, layout: ConllLayout = ConllLayout(), name: str = "corpus") -> Corpus:
+    """The CoNLL reader as a validated token object per line and a builder per document.
+
+    A token line's columns are checked when its ConllToken is built (a bare
+    ValueError for an empty surface or a bad entity id), a dangling I tag
+    when the token is added, and duplicate document ids only when the
+    Corpus is built, after every line has been read.
+    """
+    needed = max(layout.surface_col, layout.bio_col) + 1
+    documents: list[AnnotatedDocument] = []
+    builder: _DocBuilder | None = None
+
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        if line.startswith(_DOCSTART):
+            if builder is not None:
+                documents.append(builder.build())
+            builder = _DocBuilder(_oracle_doc_id(line, len(documents)))
+            continue
+        if not line.strip():
+            continue
+        if builder is None:
+            raise MalformedLine(f"token line before any {_DOCSTART} header", line_number)
+
+        fields = line.split("\t") if "\t" in line else line.split()
+        if len(fields) == layout.surface_col + 1:
+            token = ConllToken(fields[layout.surface_col], "O")
+        else:
+            if len(fields) < needed:
+                raise MalformedLine(f"expected 1 or >={needed} columns, got {len(fields)}", line_number)
+            bio = fields[layout.bio_col]
+            if bio == "O":
+                token = ConllToken(fields[layout.surface_col], "O")
+            elif bio in ("B", "I"):
+                if len(fields) <= layout.entity_col:
+                    raise MalformedLine(f"{bio} token without an entity column", line_number)
+                entity = make_entity(fields[layout.entity_col])
+                token = ConllToken(fields[layout.surface_col], bio, entity)
+            else:
+                raise MalformedLine(f"unknown tag {bio!r}, expected B, I or O", line_number)
+        builder.add_token(token, line_number)
+
+    if builder is not None:
+        documents.append(builder.build())
+    if not documents:
+        raise EmptyCorpus("no documents found in input")
+    return Corpus(name=name, documents=tuple(documents))

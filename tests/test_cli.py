@@ -161,6 +161,28 @@ def test_run_unreachable_endpoint_is_runtime_error(workspace) -> None:
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        ("-DOCSTART- (a)\nJapan\tB\tJAPAN_NT\n\tO\n", "line 3: token surface must be non-empty"),
+        ("-DOCSTART- (a)\nJapan\tB\t\n", "line 2: entity id must be non-empty with no surrounding whitespace: ''"),
+        (
+            "-DOCSTART- (a)\nJapan\tB\t JAPAN_NT\n",
+            "line 2: entity id must be non-empty with no surrounding whitespace: ' JAPAN_NT'",
+        ),
+        ("-DOCSTART- (a)\nJapan O\n-DOCSTART- (a)\nSyria O\n", "line 3: duplicate document id 'a'"),
+    ],
+    ids=["empty-surface", "empty-entity", "padded-entity", "duplicate-id"],
+)
+def test_run_bad_corpus_line_is_runtime_error(workspace, tmp_path: Path, corpus: str, message: str, capsys) -> None:
+    broken = tmp_path / "broken.conll"
+    broken.write_text(corpus)
+    argv = ["run", "--corpus", str(broken), "--dict-path", str(workspace["dict"]), "--out", str(workspace["out"])]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not workspace["out"].exists()
+
+
 def test_unknown_subcommand_exits_2(workspace) -> None:
     with pytest.raises(SystemExit) as excinfo:
         cli_main(["frobnicate"])
@@ -391,6 +413,21 @@ def test_ablate_requires_dictionary(workspace) -> None:
     assert rc == 2
 
 
+@pytest.mark.parametrize("vocabulary", ["", "--NME--\n"], ids=["empty", "nme-only"])
+@pytest.mark.parametrize("command", [["run", "--policy", "full"], ["ablate"]], ids=["run", "ablate"])
+def test_vocabulary_without_linkable_entity_is_runtime_error(
+    workspace, tmp_path: Path, command: list[str], vocabulary: str, capsys
+) -> None:
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(vocabulary)
+    argv = [*command, "--corpus", str(workspace["corpus"]), "--dict-path", str(workspace["dict"])]
+    assert cli_main(argv + ["--vocab-path", str(vocab), "--out", str(workspace["out"])]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: vocabulary contains no linkable entities\n"
+    assert captured.out == ""
+    assert not workspace["out"].exists()
+
+
 def test_serve_subcommand_end_to_end(workspace) -> None:
     process = subprocess.Popen(
         [
@@ -426,7 +463,7 @@ def test_serve_subcommand_end_to_end(workspace) -> None:
         ]
     finally:
         process.terminate()
-        process.wait(timeout=10)
+        process.communicate(timeout=10)  # waits, then closes the child's pipes
 
 
 def test_load_predictions_parses_and_groups() -> None:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ann
-from linkeval import ConllLayout, EntityId, filter_inkb, parse_conll, reconstruct_text
-from linkeval.errors import DanglingITag, EmptyCorpus, MalformedLine
+from oracles import oracle_parse_conll
+from linkeval import ConllLayout, Corpus, EntityId, filter_inkb, parse_conll, reconstruct_text
+from linkeval.errors import DanglingITag, EmptyCorpus, LinkEvalError, MalformedLine
 
 
 def test_reconstruct_sentence_final_period_attaches() -> None:
@@ -96,7 +99,7 @@ def test_parse_doc_ids() -> None:
 
 
 def test_parse_duplicate_doc_ids_rejected() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedLine, match="^line 3: "):
         parse_conll(b"-DOCSTART- (d1)\nx O\n-DOCSTART- (d1)\ny O\n")
 
 
@@ -136,3 +139,73 @@ def test_parse_gold_spans_slice_to_token_join() -> None:
 def test_parse_rejects_non_utf8() -> None:
     with pytest.raises(MalformedLine):
         parse_conll(b"-DOCSTART- (d1)\n\xff\xfe O\n")
+
+
+LAYOUTS = (ConllLayout(), ConllLayout(surface_col=0, bio_col=2, entity_col=3), ConllLayout(surface_col=1, bio_col=0, entity_col=2))
+HEADERS = ("-DOCSTART- (a)", "-DOCSTART- (b)", "-DOCSTART-", "-DOCSTART- ()", "-DOCSTART- x y", " -DOCSTART- (a)")
+SURFACES = ("Japan", "won", "New York", "(", "[x", ")", "y]", ".", ",", "'s", ";b", "a(", "Σ", "")
+TAGS = ("O", "O", "O", "O", "B", "B", "B", "I", "I", "I", "Q", "")
+ENTITIES = ("E1", "E1", "E1", "E1", "E1", "E2", "--NME--", "", " E1")
+
+
+def _cells(layout: ConllLayout, surface: str, tag: str, entity: str) -> list[str]:
+    cells = ["NNP"] * (max(layout.surface_col, layout.bio_col, layout.entity_col) + 1)
+    cells[layout.surface_col], cells[layout.bio_col], cells[layout.entity_col] = surface, tag, entity
+    return cells
+
+
+@st.composite
+def conll_lines(draw, layout: ConllLayout) -> list[str]:
+    """One header, blank line or token line, or a well-formed B/I run of one entity."""
+    kind = draw(st.sampled_from(("header", "blank", "run", "token", "token", "token", "token")))
+    if kind == "header":
+        return [draw(st.sampled_from(HEADERS))]
+    if kind == "blank":
+        return [draw(st.sampled_from(("", "  ", "\t")))]
+    if kind == "run":
+        entity = draw(st.sampled_from(ENTITIES[:-2]))
+        tags = ["B"] + ["I"] * draw(st.integers(0, 2))
+        return ["\t".join(_cells(layout, draw(st.sampled_from(SURFACES[:-1])), tag, entity)) for tag in tags]
+    cells = _cells(layout, draw(st.sampled_from(SURFACES)), draw(st.sampled_from(TAGS)), draw(st.sampled_from(ENTITIES)))
+    # mostly every column; one column is a surface-only line
+    columns = draw(st.sampled_from((len(cells),) * 6 + tuple(range(1, len(cells)))))
+    return [draw(st.sampled_from(("\t", " "))).join(cells[:columns])]
+
+
+@st.composite
+def conll_input(draw) -> tuple[str, ConllLayout]:
+    layout = draw(st.sampled_from(LAYOUTS))
+    lines = [line for group in draw(st.lists(conll_lines(layout), max_size=10)) for line in group]
+    first = draw(st.sampled_from((HEADERS[0],) * 3 + ("",)))
+    return "\n".join([first, *lines]), layout
+
+
+def _outcome(parse, text: str, layout: ConllLayout) -> Corpus | Exception:
+    try:
+        return parse(text, layout)
+    except (LinkEvalError, ValueError) as exc:
+        return exc
+
+
+@given(conll_input())
+@example(("-DOCSTART- (a)\nx O\n-DOCSTART- (a)\ny Q\n", ConllLayout()))
+@example(("-DOCSTART- (a)\nNew B E1\n\nYork I E1\n(\tO\nJapan B E1\n. O\n", ConllLayout()))
+@example(("-DOCSTART- (a)\nJapan\tB\t E1\n", ConllLayout()))
+@settings(max_examples=600, deadline=None)
+def test_parse_matches_oracle(case: tuple[str, ConllLayout]) -> None:
+    text, layout = case
+    lines = text.splitlines()
+    got = _outcome(parse_conll, text, layout)
+    if isinstance(got, MalformedLine) and "duplicate document id" in str(got):
+        # read in one pass, a repeated id fails at its header; the oracle finds it once every line is read
+        text = "\n".join(lines[: got.line_number])
+    expected = _outcome(oracle_parse_conll, text, layout)
+    if type(expected) is ValueError:
+        # the oracle's bare ValueError is a MalformedLine naming the first bad line
+        assert type(got) is MalformedLine
+        assert str(got) == f"line {got.line_number}: {expected}"
+        assert isinstance(_outcome(oracle_parse_conll, "\n".join(lines[: got.line_number - 1]), layout), Corpus)
+    elif isinstance(expected, Exception):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+    else:
+        assert got == expected

@@ -16,6 +16,7 @@ import pytest
 
 from faultserver import FaultServer
 from linkeval import AnnotationPipeline, HttpAnnotator, InProcessAnnotator, RunConfig, run_benchmark, serve
+from linkeval.errors import AnnotatorUnreachable, ProtocolViolation
 from linkeval.reports import emit_report
 from linkeval.service import AnnotatorService
 from test_runner import fixture_pipeline, perfection_corpus
@@ -100,6 +101,21 @@ def test_stop_returns_while_a_keep_alive_client_idles() -> None:
         assert annotator.annotate("Japan") == [(0, 5, "JAPAN_NT")]
         started = time.perf_counter()
         service.stop()
+        assert time.perf_counter() - started < 3.0
+    finally:
+        annotator.close()
+
+
+def test_stopped_service_answers_no_kept_alive_connection() -> None:
+    service = serve(fixture_pipeline())
+    service.start_background()
+    annotator = HttpAnnotator(service.endpoint, timeout=2.0)
+    try:
+        assert annotator.annotate("Japan") == [(0, 5, "JAPAN_NT")]
+        service.stop()
+        started = time.perf_counter()
+        with pytest.raises((AnnotatorUnreachable, ProtocolViolation)):
+            annotator.annotate("Japan")
         assert time.perf_counter() - started < 3.0
     finally:
         annotator.close()
