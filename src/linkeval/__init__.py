@@ -23,7 +23,6 @@ from .conll import ConllLayout, Corpus, parse_conll, reconstruct_text
 from .linkers import (
     CoherenceParams,
     EmbeddingTable,
-    TokenPrediction,
     coherence_score,
     constrained_beam_decode,
     enumerate_token_windows,
@@ -31,7 +30,6 @@ from .linkers import (
     link_prior_argmax,
     link_token_merge,
     load_embeddings,
-    merge_token_predictions,
     score_candidates,
 )
 from .model import (

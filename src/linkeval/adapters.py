@@ -144,12 +144,6 @@ class SubtokenMap:
                 raise ValueError(f"subtoken indices must be strictly increasing, got {index} after {last}")
             last = index
 
-    def span_of(self, index: int) -> Span:
-        for i, span in self.entries:
-            if i == index:
-                return span
-        raise UnknownSubtoken(f"no entry for subtoken index {index}")
-
 
 def subtoken_to_char(
     subtoken_annotations: Sequence[tuple[int, int, object]],

@@ -28,7 +28,6 @@ def _rank(pairs: Iterable[Candidate]) -> tuple[Candidate, ...]:
 class CandidateSet:
     """Ranked candidates for one mention surface."""
 
-    mention: str
     candidates: tuple[Candidate, ...]
 
     def __len__(self) -> int:
@@ -36,9 +35,6 @@ class CandidateSet:
 
     def __iter__(self) -> Iterator[Candidate]:
         return iter(self.candidates)
-
-    def entities(self) -> frozenset[EntityId]:
-        return frozenset(e for e, _ in self.candidates)
 
 
 @dataclass(frozen=True)
@@ -197,10 +193,10 @@ def candidates_for(mention: str, policy: CandidatePolicy) -> CandidateSet:
     """Produce the ranked candidate set for a mention under a policy."""
     if policy.mode is CandidateMode.DICTIONARY:
         assert policy.dictionary is not None
-        return CandidateSet(mention, policy.dictionary.lookup(mention))
+        return CandidateSet(policy.dictionary.lookup(mention))
     if policy.mode is CandidateMode.FULL_VOCABULARY:
-        return CandidateSet(mention, policy._uniform)
-    return CandidateSet(mention, ())
+        return CandidateSet(policy._uniform)
+    return CandidateSet(())
 
 
 class _TrieNode:

@@ -4,8 +4,9 @@ The input is UTF-8 text. Documents are delimited by lines starting with
 ``-DOCSTART-``; the document id is taken from a trailing ``(...)`` group
 when present. Token lines carry whitespace-separated columns (tab-separated
 when a tab is present) with a configurable layout: by default column 0 is
-the surface, column 1 the B/I/O tag, and column 2 the entity id. Lines with
-only a surface column are O tokens. Blank lines mark sentence boundaries.
+the surface, column 1 the B/I/O tag, and column 2 the entity id. Lines that
+end at the surface column are O tokens when the tag column comes after it.
+Blank lines mark sentence boundaries.
 
 The entity column value ``--NME--`` denotes a mention with no KB referent
 and is mapped onto the None entity.
@@ -124,6 +125,9 @@ def parse_conll(
     text = read_utf8(data)
     surface_col, bio_col, entity_col = layout.surface_col, layout.bio_col, layout.entity_col
     needed = max(surface_col, bio_col) + 1
+    # a line that ends at the surface column is a bare O token only if the tag column comes later
+    bare = surface_col + 1 if bio_col > surface_col else None
+    expected = f"expected {bare} or >={needed} columns" if bare else f"expected >={needed} columns"
     documents: list[AnnotatedDocument] = []
     doc_ids: set[str] = set()
     doc_id: str | None = None
@@ -147,9 +151,9 @@ def parse_conll(
 
         fields = line.split("\t") if "\t" in line else line.split()
         tag = "O"
-        if len(fields) != surface_col + 1:
+        if len(fields) != bare:
             if len(fields) < needed:
-                raise MalformedLine(f"expected 1 or >={needed} columns, got {len(fields)}", line_number)
+                raise MalformedLine(f"{expected}, got {len(fields)}", line_number)
             tag = fields[bio_col]
             if tag == "B" or tag == "I":
                 if len(fields) <= entity_col:

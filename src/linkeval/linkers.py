@@ -18,13 +18,14 @@ the output is always a known entity id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .adapters import tokenize
 from .candidates import Candidate, CandidatePolicy, EntityTrie, candidates_for
-from .errors import DimensionMismatch, EmptyTrie, LengthMismatch, MalformedLine
+from .errors import DimensionMismatch, EmptyTrie, MalformedLine
 from .model import Annotation, EntityId, Span, TokenSpan, normalize_annotations, read_utf8
 
 Tokenizer = Callable[[str], list[TokenSpan]]
@@ -60,7 +61,8 @@ class EmbeddingTable:
 def load_embeddings(data: bytes | str | IO[bytes]) -> EmbeddingTable:
     """Load ``key<TAB>v1 v2 ... vd`` lines into an embedding table.
 
-    Only blank lines are skipped: a key may start with ``#``.
+    Only blank lines are skipped: a key may start with ``#``. Every
+    component must be a finite number.
     """
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
@@ -76,6 +78,8 @@ def load_embeddings(data: bytes | str | IO[bytes]) -> EmbeddingTable:
             raise MalformedLine(f"non-numeric vector component: {exc}", number) from exc
         if vec.size == 0:
             raise MalformedLine("empty vector", number)
+        if not np.isfinite(vec).all():
+            raise MalformedLine(f"non-finite vector component for {key!r}", number)
         if dimension is None:
             dimension = int(vec.size)
         elif vec.size != dimension:
@@ -315,71 +319,6 @@ def constrained_beam_decode(score_next: ScoreNext, trie: EntityTrie, beam_width:
     return entity
 
 
-@dataclass(frozen=True)
-class TokenPrediction:
-    """Per-token entity hypotheses, strongest first. None means no link."""
-
-    token_index: int
-    top_k: tuple[tuple[EntityId | None, float], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "top_k", tuple(self.top_k))
-        if not self.top_k:
-            raise ValueError("top_k must contain at least one entry")
-        scores = [s for _, s in self.top_k]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("top_k must be sorted by descending score")
-
-
-def merge_token_predictions(
-    predictions: Sequence[TokenPrediction],
-    tokens: Sequence[TokenSpan],
-    policy: CandidatePolicy,
-) -> list[Annotation]:
-    """Turn per-token predictions into span annotations.
-
-    Entity entries outside the token's policy candidates are dropped (a
-    None entry always survives); the strongest surviving entry wins. Runs
-    of adjacent tokens that agree on the same non-None entity become one
-    annotation covering the whole run.
-    """
-    if len(predictions) != len(tokens):
-        raise LengthMismatch(f"{len(predictions)} predictions but {len(tokens)} tokens")
-    choices: list[EntityId | None] = []
-    for prediction, token in zip(predictions, tokens):
-        allowed = candidates_for(token.surface, policy).entities()
-        choice: EntityId | None = None
-        for entity, _score in prediction.top_k:
-            if entity is None or entity.is_none:
-                choice = None
-                break
-            if entity in allowed:
-                choice = entity
-                break
-        choices.append(choice)
-    return _merge_runs(choices, tokens)
-
-
-def _merge_runs(choices: Sequence[EntityId | None], tokens: Sequence[TokenSpan]) -> list[Annotation]:
-    """One annotation per run of adjacent tokens with the same non-None choice."""
-    annotations: list[Annotation] = []
-    run_start: int | None = None
-    run_entity: EntityId | None = None
-    for i, choice in enumerate(choices):
-        if run_entity is not None and (choice != run_entity):
-            annotations.append(
-                Annotation(Span(tokens[run_start].span.begin, tokens[i - 1].span.end), run_entity)
-            )
-            run_start, run_entity = None, None
-        if choice is not None and run_entity is None:
-            run_start, run_entity = i, choice
-    if run_entity is not None and run_start is not None:
-        annotations.append(
-            Annotation(Span(tokens[run_start].span.begin, tokens[-1].span.end), run_entity)
-        )
-    return normalize_annotations(annotations)
-
-
 def _top_hypothesis(candidates: Iterable[Candidate]) -> EntityId | None:
     """The strongest of a token's hypotheses, None meaning no link.
 
@@ -400,10 +339,8 @@ def link_token_merge(
 ) -> list[Annotation]:
     """Per-token linking driven by candidate priors.
 
-    Each token takes its strongest hypothesis (_top_hypothesis); runs of
-    adjacent tokens that agree become one annotation. This is what
-    merge_token_predictions makes of those hypotheses, since every entity
-    among them is one of the token's own candidates.
+    Each token takes its strongest hypothesis (_top_hypothesis); every run
+    of adjacent tokens that agree on an entity becomes one annotation.
     """
     tokens = tokenizer(doc_text)
     # tokens share candidate tuples (a repeated surface, or the full policy's
@@ -417,4 +354,9 @@ def link_token_merge(
         if hit is None:
             hit = by_tuple[id(candidates)] = (candidates, _top_hypothesis(candidates))
         choices.append(hit[1])
-    return _merge_runs(choices, tokens)
+    annotations: list[Annotation] = []
+    for entity, run in groupby(zip(tokens, choices), key=lambda pair: pair[1]):
+        if entity is not None:
+            run_tokens = [token for token, _ in run]
+            annotations.append(Annotation(Span(run_tokens[0].span.begin, run_tokens[-1].span.end), entity))
+    return normalize_annotations(annotations)

@@ -95,21 +95,19 @@ class TokenSpan:
 
 @dataclass(frozen=True)
 class AnnotatedDocument:
-    """A document with gold annotations and optional predicted annotations.
+    """A document with its gold annotations.
 
-    Gold annotations must be pairwise non-overlapping; predictions may
-    overlap each other freely. Every span must lie within the text.
+    Gold annotations must be pairwise non-overlapping, and every span must
+    lie within the text.
     """
 
     doc_id: str
     text: str
     gold: tuple[Annotation, ...] = ()
-    predicted: tuple[Annotation, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gold", tuple(self.gold))
-        object.__setattr__(self, "predicted", tuple(self.predicted))
-        for ann in (*self.gold, *self.predicted):
+        for ann in self.gold:
             if ann.span.end > len(self.text):
                 raise InvalidSpan(
                     f"{self.doc_id}: span ({ann.span.begin}, {ann.span.end}) exceeds text length {len(self.text)}"

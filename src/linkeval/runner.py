@@ -26,7 +26,6 @@ fail the next request's status line, which is re-sent.
 from __future__ import annotations
 
 import http.client
-import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -135,14 +134,14 @@ class HttpAnnotator:
         return connection
 
     @staticmethod
-    def _send(connection: _Connection, method: str, path: str, body: bytes | None) -> tuple[int, bytes]:
-        headers = {"Content-Type": "application/json; charset=utf-8"} if body is not None else {}
-        connection.request(method, path, body=body, headers=headers)
+    def _send(connection: _Connection, body: bytes) -> tuple[int, bytes]:
+        headers = {"Content-Type": "application/json; charset=utf-8"}
+        connection.request("POST", "/annotate", body=body, headers=headers)
         response = connection.getresponse()
         return response.status, response.read()
 
-    def _exchange(self, method: str, path: str, body: bytes | None = None) -> tuple[int, bytes]:
-        """One request and its reply's status and body.
+    def _exchange(self, body: bytes) -> tuple[int, bytes]:
+        """One POST /annotate and its reply's status and body.
 
         A failed connect raises AnnotatorUnreachable. A lost connection is
         re-sent once; any other failure closes the connection and raises
@@ -151,25 +150,19 @@ class HttpAnnotator:
         connection = self._connection()
         try:
             try:
-                return self._send(connection, method, path, body)
+                return self._send(connection, body)
             except _LOST:
                 connection.close()  # the re-sent request reconnects
-                return self._send(connection, method, path, body)
+                return self._send(connection, body)
         except (OSError, http.client.HTTPException) as exc:
             connection.close()  # a reply arriving late must not be read as the next one
-            raise ProtocolViolation(f"{method} {path} failed: {type(exc).__name__}: {exc}") from exc
+            raise ProtocolViolation(f"POST /annotate failed: {type(exc).__name__}: {exc}") from exc
 
     def annotate(self, text: str, doc_id: str | None = None) -> list[RawTriple]:
-        status, payload = self._exchange("POST", "/annotate", encode_request(AnnotateRequest(text=text, doc_id=doc_id)))
+        status, payload = self._exchange(encode_request(AnnotateRequest(text=text, doc_id=doc_id)))
         if status != 200:
             raise ProtocolViolation(f"annotate returned HTTP {status}")
         return list(decode_response(payload).annotations)
-
-    def health(self) -> dict:
-        status, payload = self._exchange("GET", "/health")
-        if status != 200:
-            raise ProtocolViolation(f"health returned HTTP {status}")
-        return json.loads(payload.decode("utf-8"))
 
     def close(self) -> None:
         """Close every connection this annotator opened, from any thread.

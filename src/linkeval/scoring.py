@@ -16,7 +16,7 @@ vocabulary, so out-of-KB material never influences the counts.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -260,15 +260,7 @@ class EvaluationReport:
 
     def without_runtime(self) -> "EvaluationReport":
         """Copy with the runtime zeroed, for run-to-run comparisons."""
-        return EvaluationReport(
-            dataset=self.dataset,
-            micro_precision=self.micro_precision,
-            micro_recall=self.micro_recall,
-            micro_f1=self.micro_f1,
-            breakdown=self.breakdown,
-            per_document=self.per_document,
-            runtime_ms=0,
-        )
+        return replace(self, runtime_ms=0)
 
 
 def pr_delta(baseline: EvaluationReport, ablated: EvaluationReport) -> tuple[float, float]:

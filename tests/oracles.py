@@ -3,6 +3,8 @@
 These are deliberately written against the documented rules with plain
 nested loops and no imports from the package internals beyond the value
 types, so a bug in the production code cannot hide in a shared helper.
+The token-merge oracle also takes its tokens and candidate sets from the
+package, whose own oracles and tests pin them.
 """
 
 from __future__ import annotations
@@ -16,15 +18,18 @@ from typing import Callable, Iterable, Mapping, Sequence
 from linkeval import (
     AnnotatedDocument,
     Annotation,
+    CandidatePolicy,
     ConllLayout,
     Corpus,
     EntityId,
     EntityTrie,
     Span,
     TokenSpan,
+    candidates_for,
     make_entity,
+    tokenize,
 )
-from linkeval.errors import DanglingITag, EmptyCorpus, MalformedLine
+from linkeval.errors import DanglingITag, EmptyCorpus, LengthMismatch, MalformedLine
 
 
 def _inkb(ann: Annotation, vocabulary: set[EntityId] | frozenset[EntityId]) -> bool:
@@ -231,6 +236,74 @@ def oracle_link_prior_argmax(
     return oracle_resolve_overlaps(picked)
 
 
+@dataclass(frozen=True)
+class TokenPrediction:
+    """Per-token entity hypotheses, strongest first. None means no link."""
+
+    token_index: int
+    top_k: tuple[tuple[EntityId | None, float], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "top_k", tuple(self.top_k))
+        if not self.top_k:
+            raise ValueError("top_k must contain at least one entry")
+        scores = [s for _, s in self.top_k]
+        if any(a < b for a, b in zip(scores, scores[1:])):
+            raise ValueError("top_k must be sorted by descending score")
+
+
+def merge_token_predictions(
+    predictions: Sequence[TokenPrediction],
+    tokens: Sequence[TokenSpan],
+    policy: CandidatePolicy,
+) -> list[Annotation]:
+    """Turn per-token predictions into span annotations.
+
+    Entity entries outside the token's policy candidates are dropped (a
+    None entry always survives); the strongest surviving entry wins. Runs
+    of adjacent tokens that agree on the same non-None entity become one
+    annotation covering the whole run.
+    """
+    if len(predictions) != len(tokens):
+        raise LengthMismatch(f"{len(predictions)} predictions but {len(tokens)} tokens")
+    choices: list[EntityId | None] = []
+    for prediction, token in zip(predictions, tokens):
+        allowed = {entity for entity, _ in candidates_for(token.surface, policy)}
+        choice: EntityId | None = None
+        for entity, _score in prediction.top_k:
+            if entity is None or entity.is_none:
+                break
+            if entity in allowed:
+                choice = entity
+                break
+        choices.append(choice)
+    annotations: list[Annotation] = []
+    start = 0
+    for i in range(1, len(choices) + 1):
+        if i == len(choices) or choices[i] != choices[start]:
+            if choices[start] is not None:
+                annotations.append(Annotation(Span(tokens[start].span.begin, tokens[i - 1].span.end), choices[start]))
+            start = i
+    return sorted(annotations, key=_key)
+
+
+def hypotheses_then_merge(text: str, policy: CandidatePolicy) -> list[Annotation]:
+    """link_token_merge spelled out: every token's full hypothesis list, then merge_token_predictions.
+
+    A token's hypotheses are its non-None candidates scored by prior plus
+    a no-link entry carrying the leftover prior mass, strongest first; on
+    a tie the candidate, listed first, stays ahead.
+    """
+    tokens = tokenize(text)
+    predictions = []
+    for token in tokens:
+        entries = [(e, p) for e, p in candidates_for(token.surface, policy) if not e.is_none]
+        entries.append((None, max(0.0, 1.0 - sum(p for _, p in entries))))
+        entries.sort(key=lambda e: -e[1])
+        predictions.append(TokenPrediction(token.token_index, tuple(entries)))
+    return merge_token_predictions(predictions, tokens, policy)
+
+
 def greedy_decode(score_next: Callable[[str, str | None], float], trie: EntityTrie) -> str:
     """Step-local argmax walk; stops the first time closing wins the step.
 
@@ -362,6 +435,7 @@ def oracle_parse_conll(text: str, layout: ConllLayout = ConllLayout(), name: str
     Corpus is built, after every line has been read.
     """
     needed = max(layout.surface_col, layout.bio_col) + 1
+    surface_only = layout.bio_col > layout.surface_col
     documents: list[AnnotatedDocument] = []
     builder: _DocBuilder | None = None
 
@@ -377,11 +451,12 @@ def oracle_parse_conll(text: str, layout: ConllLayout = ConllLayout(), name: str
             raise MalformedLine(f"token line before any {_DOCSTART} header", line_number)
 
         fields = line.split("\t") if "\t" in line else line.split()
-        if len(fields) == layout.surface_col + 1:
+        if surface_only and len(fields) == layout.surface_col + 1:
             token = ConllToken(fields[layout.surface_col], "O")
         else:
             if len(fields) < needed:
-                raise MalformedLine(f"expected 1 or >={needed} columns, got {len(fields)}", line_number)
+                accepted = f"{layout.surface_col + 1} or >={needed}" if surface_only else f">={needed}"
+                raise MalformedLine(f"expected {accepted} columns, got {len(fields)}", line_number)
             bio = fields[layout.bio_col]
             if bio == "O":
                 token = ConllToken(fields[layout.surface_col], "O")

@@ -45,6 +45,8 @@ TRACED_SPANS = {
 
 TRACED_COUNTS = {
     "candidates.candidates_for.calls",
+    "candidates.candidates_for.returned",
+    "candidates.candidates_for.hits",
     "linkers.spans",
     "linkers.kept",
     "adapters.segments",

@@ -89,7 +89,6 @@ def test_dictionary_policy_candidates() -> None:
     d = load_alias_dictionary("Japan\tJAPAN_NT\t0.6\nJapan\tJAPAN\t0.4\n")
     policy = CandidatePolicy(CandidateMode.DICTIONARY, dictionary=d)
     cs = candidates_for("Japan", policy)
-    assert cs.mention == "Japan"
     assert [e.id for e, _ in cs] == ["JAPAN_NT", "JAPAN"]
     assert candidates_for("nope", policy).candidates == ()
 

@@ -372,6 +372,16 @@ def test_coherence_without_embeddings_builds_the_prior_linker(workspace, tmp_pat
         assert without.annotate_triples(document.text) == with_vectors.annotate_triples(document.text)
 
 
+def test_run_non_finite_embedding_is_runtime_error(workspace, tmp_path: Path, capsys) -> None:
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_text("E1\tnan\n")
+    argv = ["run", "--corpus", str(workspace["corpus"]), "--dict-path", str(workspace["dict"])]
+    argv += ["--linker", "coherence", "--embeddings-path", str(vectors), "--out", str(workspace["out"])]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "error: line 1: non-finite vector component for 'E1'\n"
+    assert not workspace["out"].exists()
+
+
 def test_ablate_orders_policies(workspace, capsys) -> None:
     rc = cli_main(
         [

@@ -126,6 +126,18 @@ def test_parse_custom_layout() -> None:
     assert list(doc.gold) == [ann(0, 5, "JAPAN_NT")]
 
 
+def test_parse_tag_first_layout_never_drops_a_b_tag() -> None:
+    layout = ConllLayout(surface_col=1, bio_col=0, entity_col=2)
+    corpus = parse_conll(b"-DOCSTART- (d1)\nB Japan JAPAN\nO won\n", layout=layout)
+    assert corpus.documents[0].text == "Japan won"
+    assert list(corpus.documents[0].gold) == [ann(0, 5, "JAPAN")]
+    # two columns reach the tag, so this is a B line missing its entity, not a bare O token
+    with pytest.raises(MalformedLine, match="^line 2: B token without an entity column$"):
+        parse_conll(b"-DOCSTART- (d1)\nB Japan\n", layout=layout)
+    with pytest.raises(MalformedLine, match="^line 2: expected >=2 columns, got 1$"):
+        parse_conll(b"-DOCSTART- (d1)\nJapan\n", layout=layout)
+
+
 def test_parse_gold_spans_slice_to_token_join() -> None:
     corpus = parse_conll(
         b"-DOCSTART- (d1)\nThe O\nAsian B AC\nCup I AC\nfinal O\n. O\n\nJapan B JP\nwon O\n"

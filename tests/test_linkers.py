@@ -8,7 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ann
-from oracles import greedy_decode, hash_scorer, oracle_link_prior_argmax, oracle_resolve_overlaps, oracle_tokenize
+from oracles import (
+    TokenPrediction,
+    greedy_decode,
+    hash_scorer,
+    hypotheses_then_merge,
+    merge_token_predictions,
+    oracle_link_prior_argmax,
+    oracle_resolve_overlaps,
+    oracle_tokenize,
+)
 from linkeval import (
     NONE_ENTITY,
     AliasDictionary,
@@ -18,7 +27,6 @@ from linkeval import (
     EmbeddingTable,
     EntityId,
     Span,
-    TokenPrediction,
     build_trie,
     candidates_for,
     coherence_score,
@@ -30,7 +38,6 @@ from linkeval import (
     load_alias_dictionary,
     load_embeddings,
     load_vocabulary,
-    merge_token_predictions,
     score_candidates,
     tokenize,
 )
@@ -61,6 +68,12 @@ def test_load_embeddings_errors() -> None:
         load_embeddings("a\tx y\n")
     with pytest.raises(MalformedLine):
         load_embeddings("")
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+def test_load_embeddings_rejects_non_finite_components(component: str) -> None:
+    with pytest.raises(MalformedLine, match="^line 2: non-finite vector component for 'E2'$"):
+        load_embeddings(f"E1\t1 0\nE2\t{component} 1\n")
 
 
 def test_coherence_single_word_identity_matrix() -> None:
@@ -250,18 +263,6 @@ def test_empty_policy_looks_nothing_up(monkeypatch) -> None:
     assert link_prior_argmax(text, policy) == []
     assert link_coherence_rerank(text, policy, EmbeddingTable.empty(), CoherenceParams.zeros(1)) == []
     assert looked_up == []
-
-
-def hypotheses_then_merge(text: str, policy: CandidatePolicy) -> list:
-    """link_token_merge spelled out: every token's full hypothesis list, then merge_token_predictions."""
-    tokens = tokenize(text)
-    predictions = []
-    for token in tokens:
-        entries = [(e, p) for e, p in candidates_for(token.surface, policy) if not e.is_none]
-        entries.append((None, max(0.0, 1.0 - sum(p for _, p in entries))))
-        entries.sort(key=lambda e: -e[1])
-        predictions.append(TokenPrediction(token.token_index, tuple(entries)))
-    return merge_token_predictions(predictions, tokens, policy)
 
 
 @given(alias_rows, st.lists(st.sampled_from(("Paris", "paris", "Texas", "New", "York", "the", ".")), max_size=10))

@@ -106,12 +106,6 @@ def test_document_rejects_out_of_bounds_span() -> None:
         AnnotatedDocument("d", "abc", gold=(ann(0, 4, "A"),))
 
 
-def test_document_allows_overlapping_predictions() -> None:
-    doc = AnnotatedDocument("d", "abcdefghij", predicted=(ann(0, 5, "A"), ann(4, 8, "B")))
-    assert len(doc.predicted) == 2
-
-
 def test_document_fields_are_tuples() -> None:
     doc = AnnotatedDocument("d", "abcdef", gold=[ann(0, 3, "A")])
     assert isinstance(doc.gold, tuple)
-    assert isinstance(doc.predicted, tuple)

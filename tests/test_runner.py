@@ -134,8 +134,6 @@ def test_unreachable_endpoint_aborts() -> None:
     annotator = HttpAnnotator("http://127.0.0.1:9", timeout=0.5)
     with pytest.raises(AnnotatorUnreachable):
         run_benchmark(perfection_corpus(), annotator, RunConfig())
-    with pytest.raises(AnnotatorUnreachable):
-        annotator.health()
 
 
 def test_http_equals_in_process() -> None:
