@@ -7,6 +7,8 @@ adapters, candidate-set policies for ablation studies, and small
 reference linkers.
 """
 
+from types import ModuleType as _ModuleType
+
 from .adapters import Segment, SubtokenMap, merge_segment_annotations, split_document, subtoken_to_char, tokenize
 from .candidates import (
     AliasDictionary,
@@ -58,7 +60,6 @@ from .runner import (
     InProcessAnnotator,
     PredictionFileAnnotator,
     RunConfig,
-    derive_vocabulary,
     run_benchmark,
 )
 from .scoring import (
@@ -74,7 +75,6 @@ from .scoring import (
 )
 from .service import (
     AnnotateRequest,
-    AnnotateResponse,
     AnnotationPipeline,
     AnnotatorService,
     decode_request,
@@ -87,4 +87,5 @@ from .service import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name bound here except the submodules the imports above bind
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

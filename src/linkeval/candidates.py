@@ -47,7 +47,7 @@ class AliasDictionary:
     """
 
     entries: Mapping[str, tuple[Candidate, ...]]
-    lowercase_index: Mapping[str, tuple[Candidate, ...]] = field(repr=False, default_factory=dict)
+    lowercase_index: Mapping[str, tuple[Candidate, ...]] = field(repr=False, init=False)
 
     def __post_init__(self) -> None:
         entries = {m: _rank(cands) for m, cands in self.entries.items()}
@@ -154,8 +154,8 @@ class CandidatePolicy:
     mode: CandidateMode
     dictionary: AliasDictionary | None = None
     full_vocabulary: tuple[EntityId, ...] | None = None
-    _uniform: tuple[Candidate, ...] = field(repr=False, compare=False, default=())
-    _prefix_keys: tuple[str, ...] = field(repr=False, compare=False, default=())
+    _uniform: tuple[Candidate, ...] = field(repr=False, compare=False, init=False, default=())
+    _prefix_keys: tuple[str, ...] = field(repr=False, compare=False, init=False, default=())
 
     def __post_init__(self) -> None:
         if self.mode is CandidateMode.DICTIONARY:

@@ -40,7 +40,7 @@ from .linkers import (
     link_token_merge,
     load_embeddings,
 )
-from .model import EntityId, data_lines, make_entity
+from .model import EntityId, data_lines
 from .reports import DELTA_FILE, RATIO_FILE, emit_report, write_delta_file, write_ratio_file
 from .runner import (
     LINKER_CHOICES,
@@ -49,7 +49,6 @@ from .runner import (
     InProcessAnnotator,
     PredictionFileAnnotator,
     RunConfig,
-    derive_vocabulary,
     run_benchmark,
 )
 from .scoring import pr_delta
@@ -134,10 +133,8 @@ class Resources:
 
     @property
     def inkb(self) -> frozenset[EntityId] | None:
-        """The in-KB scoring set: every non-None vocabulary entity."""
-        if self.vocabulary is None:
-            return None
-        return frozenset(e for e in self.vocabulary if not e.is_none)
+        """The scoring vocabulary model.filter_inkb reads; None when no file names one."""
+        return None if self.vocabulary is None else frozenset(self.vocabulary)
 
 
 def load_resources(config: RunConfig) -> Resources:
@@ -308,17 +305,7 @@ def _cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
     if unknown:
         ignored = sum(len(predictions[doc_id]) for doc_id in unknown)
         print(f"warning: ignored {ignored} predictions for {len(unknown)} doc ids not in the corpus", file=sys.stderr)
-    scoring_vocab = load_resources(config).inkb
-    if scoring_vocab is None:
-        pred_entities = []
-        for triples in predictions.values():
-            for _, _, raw in triples:
-                try:
-                    pred_entities.append(make_entity(raw))
-                except ValueError:
-                    continue  # validate_triples reports it as its document's protocol error
-        scoring_vocab = derive_vocabulary(corpus, extra=pred_entities)
-    report = run_benchmark(corpus, PredictionFileAnnotator(predictions), config, vocabulary=scoring_vocab)
+    report = run_benchmark(corpus, PredictionFileAnnotator(predictions), config, vocabulary=load_resources(config).inkb)
     paths = emit_report(report, Path(args.out))
     _print_report_lines(report, paths)
     return 0

@@ -135,11 +135,15 @@ def normalize_annotations(annotations: Iterable[Annotation]) -> list[Annotation]
     return out
 
 
-def filter_inkb(annotations: Iterable[Annotation], vocabulary: frozenset[EntityId] | set[EntityId]) -> list[Annotation]:
-    """Keep annotations whose entity is a non-None member of the vocabulary.
+def filter_inkb(annotations: Iterable[Annotation], vocabulary: frozenset[EntityId] | set[EntityId] | None) -> list[Annotation]:
+    """Keep the in-KB annotations; this is the package's one rule for them.
 
-    Input order is preserved; the result is a subsequence of the input.
+    An entity is in KB when it is not the None entity and, if a vocabulary
+    is given, a member of it. Input order is preserved; the result is a
+    subsequence of the input.
     """
+    if vocabulary is None:
+        return [a for a in annotations if not a.entity.is_none]
     return [a for a in annotations if not a.entity.is_none and a.entity in vocabulary]
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 from .conll import Corpus
-from .errors import AnnotatorUnreachable, ProtocolViolation
+from .errors import AnnotatorUnreachable, LinkEvalError, ProtocolViolation
 from .linkers import DEFAULT_MAX_SPAN_TOKENS, DEFAULT_TOP_P
 from .model import AnnotatedDocument, EntityId
 from .scoring import (
@@ -162,7 +162,7 @@ class HttpAnnotator:
         status, payload = self._exchange(encode_request(AnnotateRequest(text=text, doc_id=doc_id)))
         if status != 200:
             raise ProtocolViolation(f"annotate returned HTTP {status}")
-        return list(decode_response(payload).annotations)
+        return decode_response(payload)
 
     def close(self) -> None:
         """Close every connection this annotator opened, from any thread.
@@ -190,7 +190,7 @@ class PredictionFileAnnotator:
 def _score_document(
     doc: AnnotatedDocument,
     annotator: Annotator,
-    vocabulary: frozenset[EntityId],
+    vocabulary: frozenset[EntityId] | None,
 ) -> tuple[MatchResult, DocumentScore]:
     protocol_error: str | None = None
     try:
@@ -203,13 +203,6 @@ def _score_document(
     return result, DocumentScore.from_result(doc.doc_id, result, protocol_error)
 
 
-def derive_vocabulary(corpus: Corpus, extra: Sequence[EntityId] = ()) -> frozenset[EntityId]:
-    """Fallback scoring vocabulary: every entity named by the gold side."""
-    entities = {a.entity for d in corpus.documents for a in d.gold if not a.entity.is_none}
-    entities.update(e for e in extra if not e.is_none)
-    return frozenset(entities)
-
-
 def run_benchmark(
     corpus: Corpus,
     annotator: Annotator,
@@ -218,11 +211,14 @@ def run_benchmark(
 ) -> EvaluationReport:
     """Annotate every document, score it, and aggregate micro metrics.
 
+    Scoring counts in-KB annotations only (model.filter_inkb): with no
+    vocabulary, every entity but --NME--. A vocabulary that names no
+    non-None entity raises LinkEvalError before any document is annotated.
     Documents run sequentially unless config.parallel is above 1; either
     way results aggregate in corpus order, so the report is deterministic.
     """
-    if vocabulary is None:
-        vocabulary = derive_vocabulary(corpus)
+    if vocabulary is not None and all(entity.is_none for entity in vocabulary):
+        raise LinkEvalError("vocabulary contains no linkable entities")
     started = time.perf_counter()
     if config.parallel > 1:
         with ThreadPoolExecutor(max_workers=config.parallel) as pool:
@@ -248,17 +244,3 @@ def run_benchmark(
         per_document=per_document,
         runtime_ms=runtime_ms,
     )
-
-
-# re-exported for convenience in tests and the CLI
-__all__ = [
-    "Annotator",
-    "HttpAnnotator",
-    "InProcessAnnotator",
-    "PredictionFileAnnotator",
-    "RunConfig",
-    "derive_vocabulary",
-    "run_benchmark",
-    "LINKER_CHOICES",
-    "POLICY_CHOICES",
-]

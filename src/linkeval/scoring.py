@@ -9,8 +9,9 @@ falls into exactly one error category:
 * over-generated: everything else.
 
 Gold annotations that no prediction even overlaps are under-generated.
-Both sides are first restricted to non-None entities inside the scoring
-vocabulary, so out-of-KB material never influences the counts.
+Both sides are first restricted to in-KB annotations by model.filter_inkb:
+with a scoring vocabulary, its non-None entities; without one, every
+entity but --NME--. Out-of-KB material never influences the counts.
 """
 
 from __future__ import annotations
@@ -54,9 +55,12 @@ class MatchResult:
 def match_annotations(
     gold: Sequence[Annotation],
     predicted: Sequence[Annotation],
-    vocabulary: frozenset[EntityId] | set[EntityId],
+    vocabulary: frozenset[EntityId] | set[EntityId] | None,
 ) -> MatchResult:
-    """Classify predictions against gold annotations.
+    """Classify the in-KB predictions against the in-KB gold annotations.
+
+    Both sides are filtered by filter_inkb: a vocabulary keeps its non-None
+    members, None keeps every entity but --NME--.
 
     Matching runs in five deterministic passes over (begin, end, entity)
     ordered annotations: exact matches first, then wrong-entity exact

@@ -57,11 +57,6 @@ class AnnotateRequest:
     doc_id: str | None = None
 
 
-@dataclass(frozen=True)
-class AnnotateResponse:
-    annotations: tuple[RawTriple, ...]
-
-
 def encode_request(request: AnnotateRequest) -> bytes:
     payload: dict = {"text": request.text}
     if request.doc_id is not None:
@@ -85,16 +80,12 @@ def decode_request(body: bytes) -> AnnotateRequest:
     return AnnotateRequest(text=text, doc_id=doc_id)
 
 
-def encode_response(response: AnnotateResponse) -> bytes:
-    payload = {
-        "annotations": [
-            {"begin": begin, "end": end, "entity": entity} for begin, end, entity in response.annotations
-        ]
-    }
+def encode_response(triples: Sequence[RawTriple]) -> bytes:
+    payload = {"annotations": [{"begin": begin, "end": end, "entity": entity} for begin, end, entity in triples]}
     return json.dumps(payload, ensure_ascii=False).encode("utf-8")
 
 
-def decode_response(body: bytes) -> AnnotateResponse:
+def decode_response(body: bytes) -> list[RawTriple]:
     try:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -113,7 +104,7 @@ def decode_response(body: bytes) -> AnnotateResponse:
         if not isinstance(entity, str) or not entity:
             raise ProtocolViolation('"entity" must be a non-empty string')
         triples.append((begin, end, entity))
-    return AnnotateResponse(annotations=tuple(triples))
+    return triples
 
 
 def validate_triples(triples: Sequence[RawTriple], text: str) -> list[Annotation]:
@@ -217,7 +208,7 @@ class _AnnotateHandler(BaseHTTPRequestHandler):
             traceback.print_exc()  # the message and traceback stay on the server's stderr
             self._reply_json(500, {"error": "annotator_failure", "detail": type(exc).__name__})
             return
-        self._reply(200, encode_response(AnnotateResponse(annotations=tuple(triples))))
+        self._reply(200, encode_response(triples))
 
     def log_message(self, format: str, *args) -> None:  # silence per-request logging
         pass

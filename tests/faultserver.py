@@ -26,7 +26,7 @@ import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from linkeval.service import AnnotateResponse, AnnotationPipeline, decode_request, encode_response
+from linkeval.service import AnnotationPipeline, decode_request, encode_response
 
 FAULTS = ("close", "drop", "reset", "truncate", "garbage", "http500", "short_length", "long_length")
 
@@ -40,7 +40,7 @@ class _FaultHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         request = decode_request(self.rfile.read(int(self.headers["Content-Length"])))
         fault = self.server.next_fault(request.doc_id)
-        body = encode_response(AnnotateResponse(tuple(self.server.pipeline.annotate_triples(request.text))))
+        body = encode_response(self.server.pipeline.annotate_triples(request.text))
         status, length = 200, len(body)
         if fault == "drop":
             self.close_connection = True

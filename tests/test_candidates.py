@@ -118,6 +118,20 @@ def test_policy_validation() -> None:
         CandidatePolicy(CandidateMode.FULL_VOCABULARY, full_vocabulary=(EntityId("--NME--", is_none=True),))
 
 
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (AliasDictionary, {"entries": {}, "lowercase_index": {}}),
+        (CandidatePolicy, {"mode": CandidateMode.EMPTY, "_uniform": ()}),
+        (CandidatePolicy, {"mode": CandidateMode.EMPTY, "_prefix_keys": ()}),
+    ],
+    ids=["lowercase_index", "_uniform", "_prefix_keys"],
+)
+def test_derived_fields_are_not_constructor_parameters(cls, kwargs: dict) -> None:
+    with pytest.raises(TypeError):
+        cls(**kwargs)
+
+
 def test_load_vocabulary_dedupes_and_adds_none_marker() -> None:
     vocab = load_vocabulary("A\nB\nA\n")
     assert [e.id for e in vocab] == ["A", "B", "--NME--"]

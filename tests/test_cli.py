@@ -438,6 +438,55 @@ def test_vocabulary_without_linkable_entity_is_runtime_error(
     assert not workspace["out"].exists()
 
 
+def test_ablate_empty_dictionary_is_runtime_error(workspace, tmp_path: Path) -> None:
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    assert cli_main(["ablate", "--corpus", str(workspace["corpus"]), "--dict-path", str(empty), "--out", str(workspace["out"])]) == 1
+    assert not workspace["out"].exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, content",
+    [
+        (["run"], "--dict-path", ""),
+        (["score", "--predictions", "{predictions}"], "--vocab-path", "# a comment\n"),
+        (["score", "--predictions", "{predictions}"], "--vocab-path", "--NME--\n"),
+    ],
+    ids=["run-empty-dict", "score-comment-vocab", "score-nme-vocab"],
+)
+def test_resource_without_linkable_entity_is_runtime_error(
+    workspace, tmp_path: Path, command: list[str], flag: str, content: str, capsys
+) -> None:
+    resource = tmp_path / "resource.txt"
+    resource.write_text(content)
+    argv = [arg.format(predictions=workspace["predictions"]) for arg in command]
+    argv += ["--corpus", str(workspace["corpus"]), flag, str(resource), "--out", str(workspace["out"])]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: vocabulary contains no linkable entities\n"
+    assert captured.out == ""
+    assert not workspace["out"].exists()
+
+
+def test_score_and_run_endpoint_agree_without_resources(workspace, tmp_path: Path, capsys) -> None:
+    corpus = tmp_path / "japan.conll"
+    corpus.write_text("-DOCSTART- (d1)\nJapan B JAPAN_NT\nbeat O\nSyria O\n")
+    predictions = tmp_path / "japan.tsv"
+    predictions.write_text("d1\t0\t5\tJAPAN_NT\nd1\t11\t16\tSYRIA_NT\n")
+    config = RunConfig(dict_path=str(workspace["dict"]))
+    service = serve(build_pipeline(config, load_resources(config)))  # links Japan and Syria as predicted
+    service.start_background()
+    try:
+        argv = ["run", "--corpus", str(corpus), "--endpoint", service.endpoint, "--out", str(tmp_path / "run")]
+        assert cli_main(argv) == 0
+    finally:
+        service.stop()
+    argv = ["score", "--corpus", str(corpus), "--predictions", str(predictions), "--out", str(tmp_path / "score")]
+    assert cli_main(argv) == 0
+    assert read_csv_row(tmp_path / "score")["precision"] == "0.5000"
+    assert (tmp_path / "run" / REPORT_CSV).read_text() == (tmp_path / "score" / REPORT_CSV).read_text()
+
+
 def test_serve_subcommand_end_to_end(workspace) -> None:
     process = subprocess.Popen(
         [

@@ -1,0 +1,107 @@
+"""Report files on the benchmark's seed-1 inputs, pinned by digest.
+
+A refactor must leave every report byte-identical apart from its
+``runtime_ms:`` line. This test generates the run-dict, ablate-full and
+score-dense inputs of ``bench/gen.py`` (loaded read-only from its file),
+runs each command through ``cli_main``, and compares the SHA-256 of every
+file the command writes, ``runtime_ms:`` line removed, with the digests
+recorded below. A digest changes only with the scorer's numbers or the
+report format, and a change to either is a deliberate one.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from linkeval.cli import cli_main
+
+GEN_PY = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+
+# workload whose inputs are generated -> command line, "{name}" for an input file
+COMMANDS = {
+    "run": ("run-dict", ["run", "--corpus", "{corpus}", "--dict-path", "{aliases}", "--policy", "dict",
+                         "--linker", "prior_argmax", "--max-tokens", "512", "--parallel", "1"]),
+    "ablate": ("ablate-full", ["ablate", "--corpus", "{corpus}", "--dict-path", "{aliases}",
+                               "--vocab-path", "{vocab}", "--linker", "prior_argmax"]),
+    "score-vocab": ("score-dense", ["score", "--corpus", "{corpus}", "--predictions", "{predictions}",
+                                    "--vocab-path", "{vocab}"]),
+    "score": ("score-dense", ["score", "--corpus", "{corpus}", "--predictions", "{predictions}"]),
+}
+
+GOLDEN = {
+    "ablate": {
+        "dict/error_ratios.tsv": "d62cd60fac0f6ce2f3b398931ef24c1247d2ea3d2841a6871b889c0b74fcc449",
+        "dict/report.csv": "46d6a7b6f98cbfc37372e341790aa730f07b032264d035ca68eee9a6534171a7",
+        "dict/summary.txt": "1044b9408780d5556a2486737df3b19bc0c2d92b07f8d0486dc4cf93f4acd834",
+        "empty/error_ratios.tsv": "11fbbf32ea7c0697c751917f556133b16f1f5369c5395fcab7ab4c3945ea2eee",
+        "empty/report.csv": "4e5f47dc70513556fb7d9cf84b1b1af724dbcb0a0ea3f709fd96c7c713ea8cd2",
+        "empty/summary.txt": "d39cb9d15745df241d97e0d32aa8ea8c20438bf7d8048c3ed7efe50d23363b2a",
+        "error_ratios.tsv": "18ae91ae16ce23913d73b9e610a9d497efc1995880a165eeffc112a8c046ebd4",
+        "full/error_ratios.tsv": "3e02d57e39eb9aba3e858e9b74713e6bc1c5d969173f69e16dfd91a75597faa9",
+        "full/report.csv": "5b329b4cfe996eaed6317c134f675db4b09619c666ad95eb9a1c884aa0c77e46",
+        "full/summary.txt": "0eb2ae04341c243074bcf31c7ae7f66d05d756a06209904a324a378761785fd2",
+        "pr_delta.tsv": "09e557b5dde56672b8427485ff71f18df0e519d758ef0532e8020225ff844e41",
+    },
+    "run": {
+        "error_ratios.tsv": "b6bfd4641ae36f070dbd221b32d47b32afe2e3b7cd23c031f56ef760e131ac66",
+        "report.csv": "43f31d75c76b723b7859c4d18fc64dab9d6944ba1316003bba1d7985f2ee420b",
+        "summary.txt": "d488f4bcaaa22dd71a8ac35c90ee6e304fc321638f23afbaa995ad6f35752593",
+    },
+    "score": {
+        "error_ratios.tsv": "122b639711d7827a08f710eb87703ef9d96a0e11836d869126772f2791dd83c9",
+        "report.csv": "c3df67a4c2c1ea03dd628d893f27e0db31f37768b77822e374ee4a62a7c69926",
+        "summary.txt": "6d9ce9f0ea4c126ca2f4f8ad18b5f54882ef672711b88e3d0532e590c06e1539",
+    },
+    "score-vocab": {
+        "error_ratios.tsv": "122b639711d7827a08f710eb87703ef9d96a0e11836d869126772f2791dd83c9",
+        "report.csv": "c3df67a4c2c1ea03dd628d893f27e0db31f37768b77822e374ee4a62a7c69926",
+        "summary.txt": "6d9ce9f0ea4c126ca2f4f8ad18b5f54882ef672711b88e3d0532e590c06e1539",
+    },
+}
+
+
+def load_gen_module():
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> dict[str, Path]:
+    gen = load_gen_module()
+    root = tmp_path_factory.mktemp("golden")
+    dirs = {}
+    for workload in sorted({workload for workload, _ in COMMANDS.values()}):
+        dirs[workload] = root / workload
+        dirs[workload].mkdir()
+        gen.generate(gen.SHAPES[workload], 1, dirs[workload])
+    return dirs
+
+
+def report_digests(out: Path) -> dict[str, str]:
+    digests = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        lines = path.read_bytes().splitlines(keepends=True)
+        kept = b"".join(line for line in lines if not line.startswith(b"runtime_ms:"))
+        digests[path.relative_to(out).as_posix()] = hashlib.sha256(kept).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_reports_match_recorded_digests(inputs, tmp_path: Path, name: str, capsys) -> None:
+    workload, argv = COMMANDS[name]
+    files = {stem: str(inputs[workload] / f"{stem}{suffix}") for stem, suffix in
+             (("corpus", ".conll"), ("aliases", ".tsv"), ("vocab", ".txt"), ("predictions", ".tsv"))}
+    out = tmp_path / "out"
+    assert cli_main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 0
+    assert report_digests(out) == GOLDEN[name]

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import FIXTURE_DICT_TSV, ann
 from linkeval import (
+    NONE_ENTITY,
     AnnotationPipeline,
     CandidateMode,
     CandidatePolicy,
@@ -14,14 +15,13 @@ from linkeval import (
     InProcessAnnotator,
     PredictionFileAnnotator,
     RunConfig,
-    derive_vocabulary,
     link_prior_argmax,
     load_alias_dictionary,
     parse_conll,
     run_benchmark,
     serve,
 )
-from linkeval.errors import AnnotatorUnreachable
+from linkeval.errors import AnnotatorUnreachable, LinkEvalError
 
 PERFECTION_CONLL = b"""-DOCSTART- (p1)
 Japan B JAPAN_NT
@@ -59,13 +59,6 @@ def test_run_config_validation() -> None:
         RunConfig(linker="nonsense")
     with pytest.raises(ValueError):
         RunConfig(parallel=0)
-
-
-def test_derive_vocabulary_collects_gold_entities() -> None:
-    vocab = derive_vocabulary(perfection_corpus())
-    assert vocab == frozenset({EntityId("JAPAN_NT"), EntityId("SYRIA_NT")})
-    extra = derive_vocabulary(perfection_corpus(), extra=[EntityId("CHINA_NT")])
-    assert EntityId("CHINA_NT") in extra
 
 
 def test_in_process_perfection() -> None:
@@ -182,3 +175,21 @@ def test_explicit_vocabulary_restricts_scoring() -> None:
     # Syria annotations vanish from both sides: still perfect, smaller totals
     assert report.micro_f1 == 1.0
     assert sum(d.gold_count for d in report.per_document) == 2
+
+
+def test_no_vocabulary_counts_predicted_entities_the_gold_does_not_name() -> None:
+    by_doc = {"p3": [(0, 5, "JAPAN_NT"), (11, 16, "CHINA_NT")]}
+    report = run_benchmark(perfection_corpus(), PredictionFileAnnotator(by_doc), RunConfig())
+    p3 = report.per_document[2]
+    assert (p3.true_positives, p3.incorrect_entity, p3.pred_count) == (1, 1, 2)
+
+
+class UnreachedAnnotator:
+    def annotate(self, text: str, doc_id: str | None = None) -> list:
+        raise AssertionError("a document was annotated")
+
+
+@pytest.mark.parametrize("vocabulary", [frozenset(), frozenset({NONE_ENTITY})], ids=["empty", "nme-only"])
+def test_vocabulary_without_linkable_entity_fails_before_annotating(vocabulary: frozenset) -> None:
+    with pytest.raises(LinkEvalError, match="^vocabulary contains no linkable entities$"):
+        run_benchmark(perfection_corpus(), UnreachedAnnotator(), RunConfig(), vocabulary=vocabulary)

@@ -131,6 +131,18 @@ def test_matches_brute_force_oracle() -> None:
         assert result.pred_count == expected["pred_count"]
 
 
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_no_vocabulary_means_every_named_entity(rng) -> None:
+    gold = random_gold(rng, max_count=20)
+    pred = random_predictions(rng, max_count=20)
+    named = {a.entity for a in gold + pred if not a.entity.is_none}
+    result = match_annotations(gold, pred, None)
+    assert result == match_annotations(gold, pred, named)
+    expected = oracle_classify(gold, pred, named)
+    assert {field: getattr(result, field) for field in expected} == expected
+
+
 # entities: two in the vocabulary, the None entity and one out of it
 CLASSIFY_ENTITIES = ("A", "B", "--NME--", "NOT_IN_VOCAB")
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import FIXTURE_DICT_TSV, ann
 from linkeval import (
     AnnotateRequest,
-    AnnotateResponse,
     AnnotationPipeline,
     CandidateMode,
     CandidatePolicy,
@@ -52,8 +51,7 @@ def test_request_codec_roundtrip(text: str, doc_id: str | None) -> None:
 )
 @settings(max_examples=100, deadline=None)
 def test_response_codec_roundtrip(triples: list[tuple[int, int, str]]) -> None:
-    response = AnnotateResponse(annotations=tuple(triples))
-    assert decode_response(encode_response(response)) == response
+    assert decode_response(encode_response(triples)) == triples
 
 
 @pytest.mark.parametrize(
@@ -171,14 +169,13 @@ def test_service_annotate_roundtrip(live_service) -> None:
     body = encode_request(AnnotateRequest(text="Japan beat Syria", doc_id="d1"))
     status, payload = http_post(live_service.endpoint + "/annotate", body)
     assert status == 200
-    response = decode_response(payload)
-    assert response.annotations == ((0, 5, "JAPAN_NT"), (11, 16, "SYRIA_NT"))
+    assert decode_response(payload) == [(0, 5, "JAPAN_NT"), (11, 16, "SYRIA_NT")]
 
 
 def test_service_empty_text_gives_empty_annotations(live_service) -> None:
     status, payload = http_post(live_service.endpoint + "/annotate", encode_request(AnnotateRequest("")))
     assert status == 200
-    assert decode_response(payload).annotations == ()
+    assert decode_response(payload) == []
 
 
 def test_service_malformed_request_is_400(live_service) -> None:
@@ -303,7 +300,7 @@ def test_unicode_offsets_count_code_points(live_service) -> None:
     body = encode_request(AnnotateRequest(text=text))
     status, payload = http_post(live_service.endpoint + "/annotate", body)
     assert status == 200
-    (triple,) = decode_response(payload).annotations
+    (triple,) = decode_response(payload)
     begin, end, entity = triple
     assert text[begin:end] == "Japan"
     assert entity == "JAPAN_NT"
