@@ -5,7 +5,9 @@ A refactor must leave every report byte-identical apart from its
 score-dense inputs of ``bench/gen.py`` (loaded read-only from its file),
 runs each command through ``cli_main``, and compares the SHA-256 of every
 file the command writes, ``runtime_ms:`` line removed, with the digests
-recorded below. A digest changes only with the scorer's numbers or the
+recorded below. ``run`` and ``ablate`` run with the prior_argmax and the
+token_merge linker, and ``run`` also with ``--max-tokens 16``, which cuts
+segments inside whitespace chunks. A digest changes only with the scorer's numbers or the
 report format, and a change to either is a deliberate one.
 """
 
@@ -31,6 +33,13 @@ COMMANDS = {
     "score-vocab": ("score-dense", ["score", "--corpus", "{corpus}", "--predictions", "{predictions}",
                                     "--vocab-path", "{vocab}"]),
     "score": ("score-dense", ["score", "--corpus", "{corpus}", "--predictions", "{predictions}"]),
+    "run-token-merge": ("run-dict", ["run", "--corpus", "{corpus}", "--dict-path", "{aliases}", "--policy", "dict",
+                                     "--linker", "token_merge", "--max-tokens", "512", "--parallel", "1"]),
+    "ablate-token-merge": ("ablate-full", ["ablate", "--corpus", "{corpus}", "--dict-path", "{aliases}",
+                                           "--vocab-path", "{vocab}", "--linker", "token_merge"]),
+    # 354 of its segments have an edge inside a whitespace chunk
+    "run-max-tokens-16": ("run-dict", ["run", "--corpus", "{corpus}", "--dict-path", "{aliases}", "--policy", "dict",
+                                       "--linker", "prior_argmax", "--max-tokens", "16", "--parallel", "1"]),
 }
 
 GOLDEN = {
@@ -47,10 +56,33 @@ GOLDEN = {
         "full/summary.txt": "0eb2ae04341c243074bcf31c7ae7f66d05d756a06209904a324a378761785fd2",
         "pr_delta.tsv": "09e557b5dde56672b8427485ff71f18df0e519d758ef0532e8020225ff844e41",
     },
+    "ablate-token-merge": {
+        "dict/error_ratios.tsv": "c9db66c79a1e8383ddaed090b4a9156d8b01c30e2e40145eec4004f7ddb4b19f",
+        "dict/report.csv": "d108feb08d37144166ad7a66d04aa3a66d41b27fde094800dcbfd6d485d08c71",
+        "dict/summary.txt": "a3564c4ce438cab4f56680e62a3d221f382c874eb39ee2702aba0db4c6aa9eb2",
+        "empty/error_ratios.tsv": "11fbbf32ea7c0697c751917f556133b16f1f5369c5395fcab7ab4c3945ea2eee",
+        "empty/report.csv": "4e5f47dc70513556fb7d9cf84b1b1af724dbcb0a0ea3f709fd96c7c713ea8cd2",
+        "empty/summary.txt": "d39cb9d15745df241d97e0d32aa8ea8c20438bf7d8048c3ed7efe50d23363b2a",
+        "error_ratios.tsv": "4bb53dc5f91f575a98cffcd45c3682dbc09f5755bdf9b6b49cf71cd1f68c55c0",
+        "full/error_ratios.tsv": "c147ad2d6ef474554930cc3afec16452a0e12934180d7e0dc1f0afdae5fb6e4e",
+        "full/report.csv": "c4e53ab0105f822b75b4fccb329887f7a836e92e9e3e1e6512528a1c63b27fbc",
+        "full/summary.txt": "12e830c193dc6ed998adce293473ee8c79bc092c6f2fb954733cc2dd49515da6",
+        "pr_delta.tsv": "1f5a80b4a80a8076a2aaf95c6e27389bbb2cd5af15fa7a950759a03722e4933e",
+    },
     "run": {
         "error_ratios.tsv": "b6bfd4641ae36f070dbd221b32d47b32afe2e3b7cd23c031f56ef760e131ac66",
         "report.csv": "43f31d75c76b723b7859c4d18fc64dab9d6944ba1316003bba1d7985f2ee420b",
         "summary.txt": "d488f4bcaaa22dd71a8ac35c90ee6e304fc321638f23afbaa995ad6f35752593",
+    },
+    "run-max-tokens-16": {
+        "error_ratios.tsv": "c10f6e9dd013257fc58e32b46ed1a0b065b6661f196c96881e1e6f0a4d9a7c9f",
+        "report.csv": "5be3227ff22ec4c69a1c3db355233674f8e32cfe1cd62fe2225fd9e784679981",
+        "summary.txt": "7f69f36d1dee5ea137340a44dfff70559050b6f3e64a1a4b6635444e154631c5",
+    },
+    "run-token-merge": {
+        "error_ratios.tsv": "ef084305836fdd399d12871041aa3f3680247f1aaea352bd749bf2620db45f1d",
+        "report.csv": "b98490fb61258a96967572181834f4536ad62a321d2fbb7739752a6f302b2f04",
+        "summary.txt": "b14dc2bd71f476f2e343e58b81cdaeb784c594f881624bebebf75cf3ab329b00",
     },
     "score": {
         "error_ratios.tsv": "122b639711d7827a08f710eb87703ef9d96a0e11836d869126772f2791dd83c9",
