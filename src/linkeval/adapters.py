@@ -46,6 +46,19 @@ def _chunk_pieces(chunk: str) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+def _token_offsets(text: str) -> list[tuple[int, int]]:
+    """(begin, end) offsets of text's tokens under tokenize's rules."""
+    offsets: list[tuple[int, int]] = []
+    for match in _CHUNK.finditer(text):
+        chunk = match.group()
+        if chunk[0] in _PUNCT or chunk[-1] in _PUNCT or "'" in chunk or "’" in chunk:
+            start = match.start()
+            offsets.extend((start + begin, start + end) for begin, end in _chunk_pieces(chunk))
+        else:
+            offsets.append(match.span())
+    return offsets
+
+
 def tokenize(text: str) -> list[TokenSpan]:
     """Split text into word tokens with exact character offsets.
 
@@ -54,25 +67,22 @@ def tokenize(text: str) -> list[TokenSpan]:
     at apostrophes. For every returned token,
     text[span.begin:span.end] == surface.
     """
-    tokens: list[TokenSpan] = []
-    for match in _CHUNK.finditer(text):
-        chunk = match.group()
-        start = match.start()
-        if chunk[0] in _PUNCT or chunk[-1] in _PUNCT or "'" in chunk or "’" in chunk:
-            for begin, end in _chunk_pieces(chunk):
-                tokens.append(TokenSpan(len(tokens), Span(start + begin, start + end), chunk[begin:end]))
-        else:
-            tokens.append(TokenSpan(len(tokens), Span(start, match.end()), chunk))
-    return tokens
+    return [TokenSpan(i, Span(begin, end), text[begin:end]) for i, (begin, end) in enumerate(_token_offsets(text))]
 
 
 @dataclass(frozen=True, slots=True)
 class Segment:
-    """A contiguous slice of a document handed to the linker in one call."""
+    """A contiguous slice of a document handed to the linker in one call.
+
+    ``token_range`` indexes the document's tokens; ``tokens`` holds the
+    (begin, end) offsets, relative to ``text``, of the tokens a linker
+    given only ``text`` would find.
+    """
 
     text: str
     char_offset: int
     token_range: tuple[int, int]
+    tokens: tuple[tuple[int, int], ...]
 
 
 def split_document(text: str, max_tokens: int, tokenizer: Callable[[str], list[TokenSpan]] = tokenize) -> list[Segment]:
@@ -82,27 +92,39 @@ def split_document(text: str, max_tokens: int, tokenizer: Callable[[str], list[T
     input. Otherwise segments are cut greedily, preferring the last
     sentence-final punctuation token (. ! ?) inside the window and falling
     back to a hard cut at the window edge. Cuts never land inside a token.
+
+    The document is tokenized once. A segment with whitespace or an end
+    of the text at both edges gets its slice of those tokens, shifted to
+    the segment. A segment cut inside a whitespace-separated chunk (between
+    "Japan" and "'s") is tokenized again on its own text, where the cut
+    piece may split differently ("'s" alone is "'" and "s").
     """
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
-    tokens = tokenizer(text)
-    if len(tokens) <= max_tokens:
-        return [Segment(text=text, char_offset=0, token_range=(0, len(tokens)))]
+    offsets = [(token.span.begin, token.span.end) for token in tokenizer(text)]
+    total = len(offsets)
+    if total <= max_tokens:
+        return [Segment(text=text, char_offset=0, token_range=(0, total), tokens=tuple(offsets))]
 
     segments: list[Segment] = []
     start = 0
-    total = len(tokens)
     while start < total:
         window_end = min(start + max_tokens, total)
         cut = window_end
         if window_end < total:
             for i in range(window_end - 1, start - 1, -1):
-                if tokens[i].surface in _SENTENCE_FINAL:
+                begin, end = offsets[i]
+                if text[begin:end] in _SENTENCE_FINAL:
                     cut = i + 1
                     break
-        begin_char = tokens[start].span.begin
-        end_char = tokens[cut - 1].span.end
-        segments.append(Segment(text=text[begin_char:end_char], char_offset=begin_char, token_range=(start, cut)))
+        begin_char = offsets[start][0]
+        end_char = offsets[cut - 1][1]
+        piece = text[begin_char:end_char]
+        if (begin_char == 0 or text[begin_char - 1].isspace()) and (end_char == len(text) or text[end_char].isspace()):
+            tokens = tuple((begin - begin_char, end - begin_char) for begin, end in offsets[start:cut])
+        else:
+            tokens = tuple(_token_offsets(piece))
+        segments.append(Segment(text=piece, char_offset=begin_char, token_range=(start, cut), tokens=tokens))
         start = cut
     return segments
 
@@ -121,12 +143,13 @@ def merge_segment_annotations(
         raise LengthMismatch(f"{len(segments)} segments but {len(per_segment)} annotation lists")
     shifted: list[Annotation] = []
     for segment, annotations in zip(segments, per_segment):
+        offset = segment.char_offset
         for ann in annotations:
             if ann.span.end > len(segment.text):
                 raise OutOfBounds(
                     f"span ({ann.span.begin}, {ann.span.end}) exceeds segment length {len(segment.text)}"
                 )
-            shifted.append(Annotation(ann.span.shift(segment.char_offset), ann.entity))
+            shifted.append(Annotation(ann.span.shift(offset), ann.entity) if offset else ann)
     return normalize_annotations(shifted)
 
 

@@ -165,7 +165,7 @@ class CandidatePolicy:
             keys = sorted(m.replace("ς", "σ") for m in self.dictionary.lowercase_index)
             object.__setattr__(self, "_prefix_keys", tuple(keys))
         if self.mode is CandidateMode.FULL_VOCABULARY:
-            if not self.full_vocabulary:
+            if self.full_vocabulary is None:
                 raise ValueError("full-vocabulary mode requires a vocabulary")
             linkable = sorted({e for e in self.full_vocabulary if not e.is_none}, key=lambda e: e.id)
             if not linkable:

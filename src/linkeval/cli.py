@@ -181,7 +181,7 @@ def build_pipeline(config: RunConfig, resources: Resources) -> AnnotationPipelin
         )
     else:
         linker = functools.partial(link_token_merge, policy=policy)
-    return AnnotationPipeline(linker, max_tokens=config.max_tokens, name=config.linker)
+    return AnnotationPipeline(linker, max_tokens=config.max_tokens, name=config.linker, takes_tokens=True)
 
 
 def _parse_endpoint(value: str) -> tuple[str, int]:

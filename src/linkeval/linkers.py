@@ -29,6 +29,7 @@ from .errors import DimensionMismatch, EmptyTrie, MalformedLine
 from .model import Annotation, EntityId, Span, TokenSpan, normalize_annotations, read_utf8
 
 Tokenizer = Callable[[str], list[TokenSpan]]
+Offsets = Sequence[tuple[int, int]]
 ScoreNext = Callable[[str, "str | None"], float]
 
 DEFAULT_MAX_SPAN_TOKENS = 5
@@ -145,34 +146,44 @@ def coherence_score(
 
 
 def enumerate_token_windows(
-    tokens: Sequence[TokenSpan],
+    tokens: Offsets,
     max_length: int = DEFAULT_MAX_SPAN_TOKENS,
     *,
     text: str,
     policy: CandidatePolicy,
-) -> list[tuple[Span, tuple[int, int]]]:
+) -> list[tuple[int, int, int, int]]:
     """Contiguous token windows of 1..max_length tokens that may have candidates.
 
-    Returns (character span, (first_token, last_token_exclusive)) pairs in
-    (start, length) lexicographic order. A window grows from its start
-    token only while ``policy.may_prefix`` holds for its surface in
-    ``text``, the string the tokens index into, so the windows left out
-    are exactly those no candidate can start with; the full policy keeps
-    every window. This needs tokens in text order, as ``tokenize`` returns
-    them.
+    ``tokens`` are (begin, end) character offsets into ``text``, in text
+    order. Returns (begin, end, first_token, last_token_exclusive) tuples
+    in (start, length) lexicographic order. A window grows from its start
+    token only while ``policy.may_prefix`` holds for its surface, so the
+    windows left out are exactly those no candidate can start with; the
+    full policy keeps every window.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
-    out: list[tuple[Span, tuple[int, int]]] = []
+    out: list[tuple[int, int, int, int]] = []
     total = len(tokens)
-    for start in range(total):
-        begin = tokens[start].span.begin
-        for stop in range(start + 1, min(start + max_length, total) + 1):
-            end = tokens[stop - 1].span.end
-            if not policy.may_prefix(text[begin:end]):
+    may_prefix = policy.may_prefix
+    for start, (begin, end) in enumerate(tokens):
+        # most tokens start no window, so the one-token window is tested alone
+        if not may_prefix(text[begin:end]):
+            continue
+        out.append((begin, end, start, start + 1))
+        for stop in range(start + 2, min(start + max_length, total) + 1):
+            end = tokens[stop - 1][1]
+            if not may_prefix(text[begin:end]):
                 break
-            out.append((Span(begin, end), (start, stop)))
+            out.append((begin, end, start, stop))
     return out
+
+
+def _offsets(doc_text: str, tokens: Offsets | None, tokenizer: Tokenizer) -> Offsets:
+    """The token offsets a linker was handed, else those of tokenizer(doc_text)."""
+    if tokens is not None:
+        return tokens
+    return [(token.span.begin, token.span.end) for token in tokenizer(doc_text)]
 
 
 def _resolve_overlaps(picked: Sequence[tuple[Span, EntityId]]) -> list[Annotation]:
@@ -204,6 +215,7 @@ def link_prior_argmax(
     max_span_tokens: int = DEFAULT_MAX_SPAN_TOKENS,
     *,
     tokenizer: Tokenizer = tokenize,
+    tokens: Offsets | None = None,
 ) -> list[Annotation]:
     """Link by picking the highest-prior candidate for every token span.
 
@@ -213,15 +225,19 @@ def link_prior_argmax(
     is the None entity; windows the policy's prefix test rules out are
     never looked up. Overlaps resolve greedily in favor of longer spans,
     then earlier ones.
+
+    ``tokens``, when given, are doc_text's (begin, end) token offsets, as
+    a Segment carries them, and tokenizer is not called; the other linkers
+    take them the same way.
     """
-    tokens = tokenizer(doc_text)
+    tokens = _offsets(doc_text, tokens, tokenizer)
     picked: list[tuple[Span, EntityId]] = []
-    for span, _window in enumerate_token_windows(tokens, max_span_tokens, text=doc_text, policy=policy):
-        candidates = candidates_for(doc_text[span.begin:span.end], policy).candidates
+    for begin, end, _first, _last in enumerate_token_windows(tokens, max_span_tokens, text=doc_text, policy=policy):
+        candidates = candidates_for(doc_text[begin:end], policy).candidates
         # ranked by (-prior, id), so the first candidate is the argmax
         if not candidates or candidates[0][0].is_none:
             continue
-        picked.append((span, candidates[0][0]))
+        picked.append((Span(begin, end), candidates[0][0]))
     return _resolve_overlaps(picked)
 
 
@@ -258,6 +274,7 @@ def link_coherence_rerank(
     max_span_tokens: int = DEFAULT_MAX_SPAN_TOKENS,
     *,
     tokenizer: Tokenizer = tokenize,
+    tokens: Offsets | None = None,
 ) -> list[Annotation]:
     """Link like link_prior_argmax but re-score the top candidates.
 
@@ -267,20 +284,20 @@ def link_coherence_rerank(
     """
     if top_p < 1:
         raise ValueError(f"top_p must be >= 1, got {top_p}")
-    tokens = tokenizer(doc_text)
+    tokens = _offsets(doc_text, tokens, tokenizer)
+    window = params.context_window
     picked: list[tuple[Span, EntityId]] = []
-    for span, (first, last) in enumerate_token_windows(tokens, max_span_tokens, text=doc_text, policy=policy):
-        pool = candidates_for(doc_text[span.begin:span.end], policy).candidates[:top_p]
+    for begin, end, first, last in enumerate_token_windows(tokens, max_span_tokens, text=doc_text, policy=policy):
+        pool = candidates_for(doc_text[begin:end], policy).candidates[:top_p]
         if not pool:
             continue
-        window = params.context_window
-        context = [t.surface for t in tokens[max(0, first - window):first]]
-        context += [t.surface for t in tokens[last:last + window]]
-        mention_words = [t.surface for t in tokens[first:last]]
+        context = [doc_text[b:e] for b, e in tokens[max(0, first - window):first]]
+        context += [doc_text[b:e] for b, e in tokens[last:last + window]]
+        mention_words = [doc_text[b:e] for b, e in tokens[first:last]]
         best = _argmax_candidate(score_candidates(mention_words, context, pool, embeddings, params))
         if best is None or best[0].is_none:
             continue
-        picked.append((span, best[0]))
+        picked.append((Span(begin, end), best[0]))
     return _resolve_overlaps(picked)
 
 
@@ -336,20 +353,21 @@ def link_token_merge(
     policy: CandidatePolicy,
     *,
     tokenizer: Tokenizer = tokenize,
+    tokens: Offsets | None = None,
 ) -> list[Annotation]:
     """Per-token linking driven by candidate priors.
 
     Each token takes its strongest hypothesis (_top_hypothesis); every run
     of adjacent tokens that agree on an entity becomes one annotation.
     """
-    tokens = tokenizer(doc_text)
+    tokens = _offsets(doc_text, tokens, tokenizer)
     # tokens share candidate tuples (a repeated surface, or the full policy's
     # one uniform tuple), so each distinct tuple is scored once; holding the
     # tuple keeps its id from being reused within the call
     by_tuple: dict[int, tuple[tuple[Candidate, ...], EntityId | None]] = {}
     choices: list[EntityId | None] = []
-    for token in tokens:
-        candidates = candidates_for(token.surface, policy).candidates
+    for begin, end in tokens:
+        candidates = candidates_for(doc_text[begin:end], policy).candidates
         hit = by_tuple.get(id(candidates))
         if hit is None:
             hit = by_tuple[id(candidates)] = (candidates, _top_hypothesis(candidates))
@@ -358,5 +376,5 @@ def link_token_merge(
     for entity, run in groupby(zip(tokens, choices), key=lambda pair: pair[1]):
         if entity is not None:
             run_tokens = [token for token, _ in run]
-            annotations.append(Annotation(Span(run_tokens[0].span.begin, run_tokens[-1].span.end), entity))
+            annotations.append(Annotation(Span(run_tokens[0][0], run_tokens[-1][1]), entity))
     return normalize_annotations(annotations)

@@ -126,18 +126,27 @@ class AnnotationPipeline:
     Long inputs are split into segments of at most max_tokens tokens, the
     linker runs on each segment's text, and segment-local annotations are
     shifted back into document coordinates.
+
+    A linker given with ``takes_tokens`` is called as
+    ``linker(text, tokens=segment.tokens)``, so it walks the segment's
+    token offsets instead of tokenizing the text again; the built-in
+    linkers take that keyword. Any other linker gets the text alone.
     """
 
-    def __init__(self, linker: LinkerFn, max_tokens: int = 512, name: str = "linker"):
+    def __init__(self, linker: LinkerFn, max_tokens: int = 512, name: str = "linker", *, takes_tokens: bool = False):
         if max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
         self.linker = linker
         self.max_tokens = max_tokens
         self.name = name
+        self.takes_tokens = takes_tokens
 
     def annotate(self, text: str) -> list[Annotation]:
         segments = split_document(text, self.max_tokens)
-        per_segment = [self.linker(segment.text) for segment in segments]
+        if self.takes_tokens:
+            per_segment = [self.linker(segment.text, tokens=segment.tokens) for segment in segments]
+        else:
+            per_segment = [self.linker(segment.text) for segment in segments]
         return merge_segment_annotations(segments, per_segment)
 
     def annotate_triples(self, text: str) -> list[RawTriple]:

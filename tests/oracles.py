@@ -202,6 +202,39 @@ def oracle_tokenize(text: str) -> list[TokenSpan]:
     return tokens
 
 
+def oracle_annotate(text: str, linker: Callable[[str], list[Annotation]], max_tokens: int) -> list[Annotation]:
+    """The annotate chain that tokenizes every segment again.
+
+    A document of at most max_tokens tokens is one segment. Otherwise the
+    document's tokens choose the cuts: greedily at most max_tokens per
+    segment, after the last "." "!" or "?" token of the window, else at
+    its edge; a segment runs from its first token's begin to its last
+    token's end. The text-only linker runs on each segment's text, which
+    it tokenizes itself, and its annotations shift back by the segment's
+    offset.
+    """
+    tokens = tokenize(text)
+    segments: list[tuple[str, int]] = [(text, 0)]
+    if len(tokens) > max_tokens:
+        segments = []
+        start = 0
+        while start < len(tokens):
+            cut = min(start + max_tokens, len(tokens))
+            if cut < len(tokens):
+                for i in range(cut - 1, start - 1, -1):
+                    if tokens[i].surface in (".", "!", "?"):
+                        cut = i + 1
+                        break
+            begin, end = tokens[start].span.begin, tokens[cut - 1].span.end
+            segments.append((text[begin:end], begin))
+            start = cut
+    annotations: set[Annotation] = set()
+    for segment_text, offset in segments:
+        for ann in linker(segment_text):
+            annotations.add(Annotation(Span(ann.span.begin + offset, ann.span.end + offset), ann.entity))
+    return sorted(annotations, key=_key)
+
+
 def oracle_link_prior_argmax(
     text: str,
     token_spans: Sequence[Span],

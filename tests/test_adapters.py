@@ -19,6 +19,7 @@ from linkeval import (
     subtoken_to_char,
     tokenize,
 )
+from linkeval.adapters import _token_offsets
 from linkeval.errors import InvalidSpan, LengthMismatch, OutOfBounds, UnknownSubtoken
 
 
@@ -84,6 +85,19 @@ def test_tokenize_matches_oracle(pieces: list[str]) -> None:
     assert tokenize(text) == oracle_tokenize(text)
 
 
+@given(st.lists(st.sampled_from(TEXT_PIECES), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_token_offsets_are_the_tokenizer_spans(pieces: list[str]) -> None:
+    text = "".join(pieces)
+    spans = [(t.span.begin, t.span.end) for t in oracle_tokenize(text)]
+    assert _token_offsets(text) == spans
+    assert [(t.span.begin, t.span.end) for t in tokenize(text)] == spans
+
+
+def offsets(text: str) -> list[tuple[int, int]]:
+    return [(t.span.begin, t.span.end) for t in tokenize(text)]
+
+
 def make_sentences(count: int, tokens_each: int) -> str:
     parts = []
     for i in range(count):
@@ -140,6 +154,42 @@ def test_split_segments_tile_the_document() -> None:
     assert segments[-1].token_range[1] == len(tokenize(text))
     for segment in segments:
         assert text[segment.char_offset:segment.char_offset + len(segment.text)] == segment.text
+
+
+def test_split_tokenizes_the_document_once() -> None:
+    seen: list[str] = []
+
+    def counting(text: str):
+        seen.append(text)
+        return tokenize(text)
+
+    text = make_sentences(10, 5)
+    assert len(split_document(text, 7, tokenizer=counting)) > 1
+    assert seen == [text]
+
+
+def test_segment_cut_inside_a_chunk_is_retokenized() -> None:
+    # the document's tokens are won|by|Japan|'s|team; a cut after Japan
+    # leaves "'s team", which splits as '|s|team on its own
+    first, second = split_document("won by Japan's team", 3)
+    assert (first.text, first.token_range, first.tokens) == ("won by Japan", (0, 3), ((0, 3), (4, 6), (7, 12)))
+    assert (second.text, second.token_range, second.tokens) == ("'s team", (3, 5), ((0, 1), (1, 2), (3, 7)))
+
+
+SEGMENT_PIECES = ("Japan", "team", "won", "n't", "'s", "’", "'", "do", ".", "!", "?", ",", "(", ")", '"', " ", "  ", "\n")
+
+
+@given(st.lists(st.sampled_from(SEGMENT_PIECES), max_size=40), st.integers(1, 6))
+@example(["won", " ", "by", " ", "Japan", "'s", " ", "team"], 3)
+@example([" ", "(", "Japan", ".", ")", " ", "do", "n't", "!", " "], 2)
+@settings(max_examples=500, deadline=None)
+def test_segment_tokens_are_those_of_its_text(pieces: list[str], max_tokens: int) -> None:
+    text = "".join(pieces)
+    segments = split_document(text, max_tokens)
+    for segment in segments:
+        assert list(segment.tokens) == offsets(segment.text)
+    if len(segments) == 1:
+        assert segments[0].tokens == tuple(offsets(text))
 
 
 def test_split_rejects_bad_max_tokens() -> None:

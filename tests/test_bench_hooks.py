@@ -12,7 +12,7 @@ import importlib.util
 from pathlib import Path
 
 from conftest import FIXTURE_CONLL, FIXTURE_DICT_TSV
-from linkeval import adapters, cli, linkers, reports, runner, service
+from linkeval import adapters, cli, linkers, parse_conll, reports, runner, service
 from linkeval.cli import build_pipeline, cli_main, load_resources
 from linkeval.runner import RunConfig
 
@@ -108,3 +108,24 @@ def test_install_traces_every_layer_and_uninstall_restores(tmp_path: Path) -> No
     assert TRACED_SPANS - {name for _, name, *_ in recorded} == set()
     assert {name for name in TRACED_COUNTS if counts.get(name, 0) <= 0} == set()
     assert hooked_state() == before
+
+
+def test_in_process_run_tokenizes_each_document_once(tmp_path: Path) -> None:
+    corpus = tmp_path / "fixture.conll"
+    corpus.write_bytes(FIXTURE_CONLL)
+    aliases = tmp_path / "aliases.tsv"
+    aliases.write_text(FIXTURE_DICT_TSV)
+    documents = len(parse_conll(FIXTURE_CONLL).documents)
+
+    spans = load_spans_module()
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    try:
+        assert cli_main(["run", "--corpus", str(corpus), "--dict-path", str(aliases), "--out", str(tmp_path / "run")]) == 0
+    finally:
+        uninstall()
+    recorded, counts = tracer.drain()
+
+    assert documents > 1
+    assert [name for _, name, *_ in recorded].count("adapters.tokenize") == documents
+    assert counts.get("linkers.spans", 0) > 0

@@ -118,6 +118,13 @@ def test_policy_validation() -> None:
         CandidatePolicy(CandidateMode.FULL_VOCABULARY, full_vocabulary=(EntityId("--NME--", is_none=True),))
 
 
+def test_full_policy_tells_an_empty_vocabulary_from_an_absent_one() -> None:
+    with pytest.raises(ValueError, match="^full-vocabulary mode requires a vocabulary$"):
+        CandidatePolicy(CandidateMode.FULL_VOCABULARY, full_vocabulary=None)
+    with pytest.raises(ValueError, match="^vocabulary contains no linkable entities$"):
+        CandidatePolicy(CandidateMode.FULL_VOCABULARY, full_vocabulary=())
+
+
 @pytest.mark.parametrize(
     "cls, kwargs",
     [

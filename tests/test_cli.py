@@ -445,6 +445,19 @@ def test_ablate_empty_dictionary_is_runtime_error(workspace, tmp_path: Path) -> 
     assert not workspace["out"].exists()
 
 
+@pytest.mark.parametrize("command", [["ablate"], ["run", "--policy", "full"]], ids=["ablate", "run-full"])
+def test_empty_dictionary_as_vocabulary_has_no_linkable_entity(workspace, tmp_path: Path, command: list[str], capsys) -> None:
+    # the dictionary stands in for the missing --vocab-path, so the vocabulary is empty, not absent
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    argv = [*command, "--corpus", str(workspace["corpus"]), "--dict-path", str(empty), "--out", str(workspace["out"])]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: vocabulary contains no linkable entities\n"
+    assert captured.out == ""
+    assert not workspace["out"].exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, content",
     [

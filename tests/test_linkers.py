@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from oracles import (
     hash_scorer,
     hypotheses_then_merge,
     merge_token_predictions,
+    oracle_annotate,
     oracle_link_prior_argmax,
     oracle_resolve_overlaps,
     oracle_tokenize,
@@ -21,6 +23,7 @@ from oracles import (
 from linkeval import (
     NONE_ENTITY,
     AliasDictionary,
+    AnnotationPipeline,
     CandidateMode,
     CandidatePolicy,
     CoherenceParams,
@@ -48,6 +51,10 @@ from linkeval.linkers import _argmax_candidate, _resolve_overlaps
 
 def dict_policy(tsv: str) -> CandidatePolicy:
     return CandidatePolicy(CandidateMode.DICTIONARY, dictionary=load_alias_dictionary(tsv))
+
+
+def offsets(text: str) -> list[tuple[int, int]]:
+    return [(t.span.begin, t.span.end) for t in tokenize(text)]
 
 
 def test_load_embeddings_basic() -> None:
@@ -107,16 +114,16 @@ def test_coherence_dimension_mismatch() -> None:
 
 def test_enumerate_token_windows_count_and_order() -> None:
     text = "a b c"
-    spans = [span for span, _ in enumerate_token_windows(tokenize(text), 5, text=text, policy=FULL_POLICY)]
+    spans = [(begin, end) for begin, end, _, _ in enumerate_token_windows(offsets(text), 5, text=text, policy=FULL_POLICY)]
     assert len(spans) == 6
-    assert [(s.begin, s.end) for s in spans] == [(0, 1), (0, 3), (0, 5), (2, 3), (2, 5), (4, 5)]
+    assert spans == [(0, 1), (0, 3), (0, 5), (2, 3), (2, 5), (4, 5)]
 
 
 @pytest.mark.parametrize("total,n", [(1, 1), (4, 2), (10, 5), (3, 9)])
 def test_enumerate_token_windows_count_formula(total: int, n: int) -> None:
     text = " ".join("x" * 3 for _ in range(total))
     expected = sum(total - length + 1 for length in range(1, min(n, total) + 1))
-    assert len(enumerate_token_windows(tokenize(text), n, text=text, policy=FULL_POLICY)) == expected
+    assert len(enumerate_token_windows(offsets(text), n, text=text, policy=FULL_POLICY)) == expected
 
 
 def test_prior_argmax_example() -> None:
@@ -244,13 +251,52 @@ def test_pruning_keeps_a_final_sigma_prefix() -> None:
 @settings(max_examples=100, deadline=None)
 def test_full_policy_prunes_no_window(words, separator, max_length) -> None:
     text = separator.join(words)
-    tokens = tokenize(text)
+    tokens = offsets(text)
     every_window = [
-        (Span(tokens[start].span.begin, tokens[stop - 1].span.end), (start, stop))
+        (tokens[start][0], tokens[stop - 1][1], start, stop)
         for start in range(len(tokens))
         for stop in range(start + 1, min(start + max_length, len(tokens)) + 1)
     ]
     assert enumerate_token_windows(tokens, max_length, text=text, policy=FULL_POLICY) == every_window
+
+
+# chunks that a cut can split ("Japan's", "team.", "(do", "n't!") and the
+# surfaces of those pieces alone ("'", "s", "’") are all alias keys
+PIECE_MENTIONS = ("Japan", "Japan's", "'s", "'", "s", "’", "team", "do", "n't", "do n't", "won", "Japan 's team", ".")
+PIECES = (*PIECE_MENTIONS, "’s", "N'T", "!", "?", "(", ")", "...", ",", " ", "  ", "\n")
+piece_rows = st.lists(
+    st.tuples(st.sampled_from(PIECE_MENTIONS), st.sampled_from(ENTITIES), st.sampled_from((0.05, 0.1, 0.25))),
+    max_size=24,
+)
+PIECE_EMBEDDINGS = EmbeddingTable(
+    dimension=2,
+    vectors={"Japan": np.array([1.0, 0.0]), "team": np.array([0.0, 1.0]), "'s": np.array([0.5, -0.5]),
+             "E1": np.array([0.2, 0.3]), "E2": np.array([-0.4, 0.9])},
+)
+PIECE_PARAMS = CoherenceParams(bilinear=np.array([[1.0, 0.5], [0.0, 2.0]]),
+                               word_weights={"team": 0.3, "'s": -0.2, "Japan": 0.1}, context_window=2)
+
+
+@given(piece_rows, st.lists(st.sampled_from(PIECES), max_size=30), st.integers(1, 6), st.integers(1, 3))
+@example([("'s", EntityId("E1"), 0.25), ("'", EntityId("E2"), 0.25)], ["won", " ", "Japan", "'s", " ", "team"], 3, 2)
+@settings(max_examples=150, deadline=None)
+def test_pipeline_on_segment_tokens_matches_retokenizing_oracle(rows, pieces, max_tokens, max_span_tokens) -> None:
+    text = "".join(pieces)
+    policies = (
+        CandidatePolicy(CandidateMode.DICTIONARY, dictionary=AliasDictionary.from_pairs(rows)),
+        FULL_POLICY,
+        CandidatePolicy(CandidateMode.EMPTY),
+    )
+    for policy in policies:
+        linkers_ = (
+            functools.partial(link_prior_argmax, policy=policy, max_span_tokens=max_span_tokens),
+            functools.partial(link_coherence_rerank, policy=policy, embeddings=PIECE_EMBEDDINGS, params=PIECE_PARAMS,
+                              top_p=2, max_span_tokens=max_span_tokens),
+            functools.partial(link_token_merge, policy=policy),
+        )
+        for linker in linkers_:
+            pipeline = AnnotationPipeline(linker, max_tokens=max_tokens, takes_tokens=True)
+            assert pipeline.annotate(text) == oracle_annotate(text, linker, max_tokens)
 
 
 def test_empty_policy_looks_nothing_up(monkeypatch) -> None:
@@ -259,7 +305,7 @@ def test_empty_policy_looks_nothing_up(monkeypatch) -> None:
     monkeypatch.setattr(linkers, "candidates_for", lambda mention, policy: looked_up.append(mention) or real(mention, policy))
     policy = CandidatePolicy(CandidateMode.EMPTY)
     text = "Japan beat Syria in the Asian Cup ."
-    assert enumerate_token_windows(tokenize(text), 5, text=text, policy=policy) == []
+    assert enumerate_token_windows(offsets(text), 5, text=text, policy=policy) == []
     assert link_prior_argmax(text, policy) == []
     assert link_coherence_rerank(text, policy, EmbeddingTable.empty(), CoherenceParams.zeros(1)) == []
     assert looked_up == []
