@@ -15,6 +15,7 @@ from linkeval import (
     load_alias_dictionary,
     make_entity,
     parse_conll,
+    tokenize,
 )
 
 SESSION_START = time.perf_counter()
@@ -32,6 +33,11 @@ def ann(begin: int, end: int, entity: str | EntityId) -> Annotation:
     if isinstance(entity, str):
         entity = make_entity(entity)
     return Annotation(Span(begin, end), entity)
+
+
+def offsets(text: str) -> list[tuple[int, int]]:
+    """tokenize's token spans as (begin, end) pairs."""
+    return [(t.span.begin, t.span.end) for t in tokenize(text)]
 
 
 def random_entity(rng: random.Random, *, oov_rate: float = 0.1) -> EntityId:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ann
+from conftest import ann, offsets
 from oracles import oracle_tokenize
 from linkeval import (
     Span,
@@ -91,11 +91,7 @@ def test_token_offsets_are_the_tokenizer_spans(pieces: list[str]) -> None:
     text = "".join(pieces)
     spans = [(t.span.begin, t.span.end) for t in oracle_tokenize(text)]
     assert _token_offsets(text) == spans
-    assert [(t.span.begin, t.span.end) for t in tokenize(text)] == spans
-
-
-def offsets(text: str) -> list[tuple[int, int]]:
-    return [(t.span.begin, t.span.end) for t in tokenize(text)]
+    assert offsets(text) == spans
 
 
 def make_sentences(count: int, tokens_each: int) -> str:
@@ -185,11 +181,8 @@ SEGMENT_PIECES = ("Japan", "team", "won", "n't", "'s", "’", "'", "do", ".", "!
 @settings(max_examples=500, deadline=None)
 def test_segment_tokens_are_those_of_its_text(pieces: list[str], max_tokens: int) -> None:
     text = "".join(pieces)
-    segments = split_document(text, max_tokens)
-    for segment in segments:
+    for segment in split_document(text, max_tokens):
         assert list(segment.tokens) == offsets(segment.text)
-    if len(segments) == 1:
-        assert segments[0].tokens == tuple(offsets(text))
 
 
 def test_split_rejects_bad_max_tokens() -> None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ann
+from conftest import ann, offsets
 from oracles import (
     TokenPrediction,
     greedy_decode,
@@ -51,10 +51,6 @@ from linkeval.linkers import _argmax_candidate, _resolve_overlaps
 
 def dict_policy(tsv: str) -> CandidatePolicy:
     return CandidatePolicy(CandidateMode.DICTIONARY, dictionary=load_alias_dictionary(tsv))
-
-
-def offsets(text: str) -> list[tuple[int, int]]:
-    return [(t.span.begin, t.span.end) for t in tokenize(text)]
 
 
 def test_load_embeddings_basic() -> None:
@@ -288,13 +284,13 @@ def test_pipeline_on_segment_tokens_matches_retokenizing_oracle(rows, pieces, ma
         CandidatePolicy(CandidateMode.EMPTY),
     )
     for policy in policies:
-        linkers_ = (
+        linker_fns = (
             functools.partial(link_prior_argmax, policy=policy, max_span_tokens=max_span_tokens),
             functools.partial(link_coherence_rerank, policy=policy, embeddings=PIECE_EMBEDDINGS, params=PIECE_PARAMS,
                               top_p=2, max_span_tokens=max_span_tokens),
             functools.partial(link_token_merge, policy=policy),
         )
-        for linker in linkers_:
+        for linker in linker_fns:
             pipeline = AnnotationPipeline(linker, max_tokens=max_tokens, takes_tokens=True)
             assert pipeline.annotate(text) == oracle_annotate(text, linker, max_tokens)
 
