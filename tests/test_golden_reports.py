@@ -7,8 +7,14 @@ runs each command through ``cli_main``, and compares the SHA-256 of every
 file the command writes, ``runtime_ms:`` line removed, with the digests
 recorded below. ``run`` and ``ablate`` run with the prior_argmax and the
 token_merge linker, and ``run`` also with ``--max-tokens 16``, which cuts
-segments inside whitespace chunks. A digest changes only with the scorer's numbers or the
-report format, and a change to either is a deliberate one.
+segments inside whitespace chunks, and with ``--max-tokens 3`` under each
+of the three linkers on the ablate-full inputs, the densest cutting pinned
+here. The coherence run reads an embedding table this test writes from the
+vocabulary and corpus words, so it runs the rerank with a non-zero
+similarity term; the 19 picks that term changes are wrong either way, so
+its reports equal prior_argmax's. A digest
+changes only with the scorer's numbers or the report format, and a change
+to either is a deliberate one.
 """
 
 from __future__ import annotations
@@ -40,6 +46,12 @@ COMMANDS = {
     # 354 of its segments have an edge inside a whitespace chunk
     "run-max-tokens-16": ("run-dict", ["run", "--corpus", "{corpus}", "--dict-path", "{aliases}", "--policy", "dict",
                                        "--linker", "prior_argmax", "--max-tokens", "16", "--parallel", "1"]),
+    **{
+        f"run-max-tokens-3-{linker}": ("ablate-full", ["run", "--corpus", "{corpus}", "--dict-path", "{aliases}",
+                                                       "--vocab-path", "{vocab}", "--embeddings-path", "{embeddings}",
+                                                       "--policy", "dict", "--linker", linker, "--max-tokens", "3"])
+        for linker in ("prior_argmax", "coherence", "token_merge")
+    },
 }
 
 GOLDEN = {
@@ -79,6 +91,21 @@ GOLDEN = {
         "report.csv": "5be3227ff22ec4c69a1c3db355233674f8e32cfe1cd62fe2225fd9e784679981",
         "summary.txt": "7f69f36d1dee5ea137340a44dfff70559050b6f3e64a1a4b6635444e154631c5",
     },
+    "run-max-tokens-3-coherence": {
+        "error_ratios.tsv": "686e42ea6112ac5301f7cda532a51afecfe565634c184bcbe39811618eba85a4",
+        "report.csv": "d9509a3f78d279a0ec392c84a36aa73c82bfbc06f61de180de21422aaf3f4be8",
+        "summary.txt": "73f676b572ef153c34b12a6b42d3d4c6ee9e31cc1753ca5187e316b77e473ce3",
+    },
+    "run-max-tokens-3-prior_argmax": {
+        "error_ratios.tsv": "686e42ea6112ac5301f7cda532a51afecfe565634c184bcbe39811618eba85a4",
+        "report.csv": "d9509a3f78d279a0ec392c84a36aa73c82bfbc06f61de180de21422aaf3f4be8",
+        "summary.txt": "73f676b572ef153c34b12a6b42d3d4c6ee9e31cc1753ca5187e316b77e473ce3",
+    },
+    "run-max-tokens-3-token_merge": {
+        "error_ratios.tsv": "d6ed70dfd11d43059771e6ef245c30c200ae8ffd48f78485ef818270bd20f12a",
+        "report.csv": "d108feb08d37144166ad7a66d04aa3a66d41b27fde094800dcbfd6d485d08c71",
+        "summary.txt": "a3564c4ce438cab4f56680e62a3d221f382c874eb39ee2702aba0db4c6aa9eb2",
+    },
     "run-token-merge": {
         "error_ratios.tsv": "ef084305836fdd399d12871041aa3f3680247f1aaea352bd749bf2620db45f1d",
         "report.csv": "b98490fb61258a96967572181834f4536ad62a321d2fbb7739752a6f302b2f04",
@@ -108,6 +135,19 @@ def load_gen_module():
     return module
 
 
+def write_embeddings(directory: Path) -> None:
+    """embeddings.tsv: a 2-d vector, drawn from its key's SHA-256, per vocabulary entity and corpus word."""
+    keys = (directory / "vocab.txt").read_text(encoding="utf-8").split()
+    for line in (directory / "corpus.conll").read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("-DOCSTART-"):
+            keys.append(line.split("\t")[0])
+    lines = []
+    for key in dict.fromkeys(keys):
+        digest = hashlib.sha256(key.encode("utf-8")).digest()
+        lines.append(f"{key}\t{digest[0] / 128 - 1:.3f} {digest[1] / 128 - 1:.3f}")
+    (directory / "embeddings.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory) -> dict[str, Path]:
     gen = load_gen_module()
@@ -117,6 +157,7 @@ def inputs(tmp_path_factory) -> dict[str, Path]:
         dirs[workload] = root / workload
         dirs[workload].mkdir()
         gen.generate(gen.SHAPES[workload], 1, dirs[workload])
+    write_embeddings(dirs["ablate-full"])
     return dirs
 
 
@@ -133,7 +174,8 @@ def report_digests(out: Path) -> dict[str, str]:
 def test_reports_match_recorded_digests(inputs, tmp_path: Path, name: str, capsys) -> None:
     workload, argv = COMMANDS[name]
     files = {stem: str(inputs[workload] / f"{stem}{suffix}") for stem, suffix in
-             (("corpus", ".conll"), ("aliases", ".tsv"), ("vocab", ".txt"), ("predictions", ".tsv"))}
+             (("corpus", ".conll"), ("aliases", ".tsv"), ("vocab", ".txt"), ("predictions", ".tsv"),
+              ("embeddings", ".tsv"))}
     out = tmp_path / "out"
     assert cli_main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 0
     assert report_digests(out) == GOLDEN[name]
