@@ -74,9 +74,8 @@ def tokenize(text: str) -> list[TokenSpan]:
 class Segment:
     """A contiguous slice of a document handed to the linker in one call.
 
-    ``token_range`` indexes the document's tokens; ``tokens`` holds the
-    (begin, end) offsets, relative to ``text``, of the tokens a linker
-    given only ``text`` would find.
+    ``token_range`` indexes the document's tokens; ``tokens`` holds those
+    tokens' (begin, end) offsets, relative to ``text``.
     """
 
     text: str
@@ -93,11 +92,8 @@ def split_document(text: str, max_tokens: int, tokenizer: Callable[[str], list[T
     sentence-final punctuation token (. ! ?) inside the window and falling
     back to a hard cut at the window edge. Cuts never land inside a token.
 
-    The document is tokenized once. A segment with whitespace or an end
-    of the text at both edges gets its slice of those tokens, shifted to
-    the segment. A segment cut inside a whitespace-separated chunk (between
-    "Japan" and "'s") is tokenized again on its own text, where the cut
-    piece may split differently ("'s" alone is "'" and "s").
+    The document is tokenized once, and each segment gets its slice of
+    those tokens, shifted to the segment.
     """
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
@@ -118,13 +114,8 @@ def split_document(text: str, max_tokens: int, tokenizer: Callable[[str], list[T
                     cut = i + 1
                     break
         begin_char = offsets[start][0]
-        end_char = offsets[cut - 1][1]
-        piece = text[begin_char:end_char]
-        if (begin_char == 0 or text[begin_char - 1].isspace()) and (end_char == len(text) or text[end_char].isspace()):
-            tokens = tuple((begin - begin_char, end - begin_char) for begin, end in offsets[start:cut])
-        else:
-            tokens = tuple(_token_offsets(piece))
-        segments.append(Segment(text=piece, char_offset=begin_char, token_range=(start, cut), tokens=tokens))
+        tokens = tuple((begin - begin_char, end - begin_char) for begin, end in offsets[start:cut])
+        segments.append(Segment(text[begin_char:offsets[cut - 1][1]], begin_char, (start, cut), tokens))
         start = cut
     return segments
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Collection, Iterable, Iterator, Mapping
 
 from .errors import MalformedLine, PriorOutOfRange
 from .model import NONE_ENTITY, EntityId, data_lines, make_entity
@@ -153,7 +153,7 @@ class CandidatePolicy:
 
     mode: CandidateMode
     dictionary: AliasDictionary | None = None
-    full_vocabulary: tuple[EntityId, ...] | None = None
+    full_vocabulary: Collection[EntityId] | None = None
     _uniform: tuple[Candidate, ...] = field(repr=False, compare=False, init=False, default=())
     _prefix_keys: tuple[str, ...] = field(repr=False, compare=False, init=False, default=())
 

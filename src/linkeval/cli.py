@@ -122,19 +122,15 @@ class Resources:
     embeddings: EmbeddingTable
 
     @functools.cached_property
-    def vocabulary(self) -> tuple[EntityId, ...] | None:
-        """The vocabulary file, else the dictionary's entities ordered by id.
+    def vocabulary(self) -> frozenset[EntityId] | None:
+        """The vocabulary file's entities, else the dictionary's; None when no file names one.
 
-        Resolved on first use: a dictionary-policy service never needs it.
+        It is both the full policy's candidates and the in-KB set scoring
+        reads. Resolved on first use: a dictionary-policy service never needs it.
         """
-        if self.vocabulary_file is None and self.dictionary is not None:
-            return tuple(sorted(self.dictionary.vocabulary, key=lambda e: e.id))
-        return self.vocabulary_file
-
-    @property
-    def inkb(self) -> frozenset[EntityId] | None:
-        """The scoring vocabulary model.filter_inkb reads; None when no file names one."""
-        return None if self.vocabulary is None else frozenset(self.vocabulary)
+        if self.vocabulary_file is None:
+            return None if self.dictionary is None else self.dictionary.vocabulary
+        return frozenset(self.vocabulary_file)
 
 
 def load_resources(config: RunConfig) -> Resources:
@@ -260,7 +256,7 @@ def _cmd_run(args: argparse.Namespace, config: RunConfig) -> int:
     else:
         annotator = InProcessAnnotator(build_pipeline(config, resources))
     try:
-        report = run_benchmark(corpus, annotator, config, vocabulary=resources.inkb)
+        report = run_benchmark(corpus, annotator, config, vocabulary=resources.vocabulary)
     finally:
         if args.endpoint:
             annotator.close()
@@ -274,14 +270,13 @@ def _cmd_ablate(args: argparse.Namespace, config: RunConfig) -> int:
     resources = load_resources(config)
     if resources.dictionary is None:
         raise UsageError("ablate needs --dict-path for its dictionary baseline")
-    scoring_vocab = resources.inkb
 
     out = Path(args.out)
     configs = {mode: dataclasses.replace(config, policy=mode) for mode in POLICY_CHOICES}
     pipelines = {mode: build_pipeline(configs[mode], resources) for mode in POLICY_CHOICES}  # before any report
     reports = {}
     for mode in POLICY_CHOICES:
-        report = run_benchmark(corpus, InProcessAnnotator(pipelines[mode]), configs[mode], vocabulary=scoring_vocab)
+        report = run_benchmark(corpus, InProcessAnnotator(pipelines[mode]), configs[mode], vocabulary=resources.vocabulary)
         reports[mode] = report
         emit_report(report, out / mode, label=mode)
         print(f"{mode}: P={report.micro_precision:.4f} R={report.micro_recall:.4f} F1={report.micro_f1:.4f}")
@@ -305,7 +300,7 @@ def _cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
     if unknown:
         ignored = sum(len(predictions[doc_id]) for doc_id in unknown)
         print(f"warning: ignored {ignored} predictions for {len(unknown)} doc ids not in the corpus", file=sys.stderr)
-    report = run_benchmark(corpus, PredictionFileAnnotator(predictions), config, vocabulary=load_resources(config).inkb)
+    report = run_benchmark(corpus, PredictionFileAnnotator(predictions), config, vocabulary=load_resources(config).vocabulary)
     paths = emit_report(report, Path(args.out))
     _print_report_lines(report, paths)
     return 0

@@ -1,10 +1,11 @@
 """Benchmark runner: feed a corpus through an annotator and score it.
 
 Annotators implement one method, ``annotate(text, doc_id)``, returning raw
-(begin, end, entity) triples. Two implementations ship here: an in-process
-one wrapping an AnnotationPipeline, and an HTTP client speaking the wire
-protocol against a running service. Both produce byte-identical reports
-for the same linker, segmentation and corpus (runtime aside).
+(begin, end, entity) triples. Three implementations ship here: an
+in-process one wrapping an AnnotationPipeline, an HTTP client speaking the
+wire protocol against a running service, and one that replays a prediction
+file. The first two produce byte-identical reports for the same linker,
+segmentation and corpus (runtime aside).
 
 Protocol failures are contained per document: the offending document is
 scored with zero predictions and noted in the report, and the run

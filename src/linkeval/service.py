@@ -129,8 +129,8 @@ class AnnotationPipeline:
 
     A linker given with ``takes_tokens`` is called as
     ``linker(text, tokens=segment.tokens)``, so it walks the segment's
-    token offsets instead of tokenizing the text again; the built-in
-    linkers take that keyword. Any other linker gets the text alone.
+    slice of the document's tokens; the built-in linkers take that
+    keyword. Any other linker gets the text alone.
     """
 
     def __init__(self, linker: LinkerFn, max_tokens: int = 512, name: str = "linker", *, takes_tokens: bool = False):

@@ -202,37 +202,58 @@ def oracle_tokenize(text: str) -> list[TokenSpan]:
     return tokens
 
 
-def oracle_annotate(text: str, linker: Callable[[str], list[Annotation]], max_tokens: int) -> list[Annotation]:
-    """The annotate chain that tokenizes every segment again.
+def _oracle_segments(text: str, max_tokens: int) -> list[tuple[int, int, list[TokenSpan]]]:
+    """(begin, end, tokens) of each segment the annotate chain cuts text into.
 
-    A document of at most max_tokens tokens is one segment. Otherwise the
-    document's tokens choose the cuts: greedily at most max_tokens per
-    segment, after the last "." "!" or "?" token of the window, else at
-    its edge; a segment runs from its first token's begin to its last
-    token's end. The text-only linker runs on each segment's text, which
-    it tokenizes itself, and its annotations shift back by the segment's
-    offset.
+    The document's tokens (oracle_tokenize) choose the cuts. A document of
+    at most max_tokens tokens is one segment, the whole text. Otherwise
+    cuts are greedy: at most max_tokens tokens per segment, after the last
+    "." "!" or "?" token of the window, else at its edge; a segment runs
+    from its first token's begin to its last token's end.
     """
-    tokens = tokenize(text)
-    segments: list[tuple[str, int]] = [(text, 0)]
-    if len(tokens) > max_tokens:
-        segments = []
-        start = 0
-        while start < len(tokens):
-            cut = min(start + max_tokens, len(tokens))
-            if cut < len(tokens):
-                for i in range(cut - 1, start - 1, -1):
-                    if tokens[i].surface in (".", "!", "?"):
-                        cut = i + 1
-                        break
-            begin, end = tokens[start].span.begin, tokens[cut - 1].span.end
-            segments.append((text[begin:end], begin))
-            start = cut
+    tokens = oracle_tokenize(text)
+    if len(tokens) <= max_tokens:
+        return [(0, len(text), tokens)]
+    segments = []
+    start = 0
+    while start < len(tokens):
+        cut = min(start + max_tokens, len(tokens))
+        if cut < len(tokens):
+            for i in range(cut - 1, start - 1, -1):
+                if tokens[i].surface in (".", "!", "?"):
+                    cut = i + 1
+                    break
+        segments.append((tokens[start].span.begin, tokens[cut - 1].span.end, tokens[start:cut]))
+        start = cut
+    return segments
+
+
+def _oracle_chain(
+    text: str, max_tokens: int, link: Callable[[str, list[tuple[int, int]]], list[Annotation]]
+) -> list[Annotation]:
+    """Call link(segment_text, segment_tokens) per segment and shift its annotations back."""
     annotations: set[Annotation] = set()
-    for segment_text, offset in segments:
-        for ann in linker(segment_text):
-            annotations.add(Annotation(Span(ann.span.begin + offset, ann.span.end + offset), ann.entity))
+    for begin, end, tokens in _oracle_segments(text, max_tokens):
+        offsets = [(t.span.begin - begin, t.span.end - begin) for t in tokens]
+        for ann in link(text[begin:end], offsets):
+            annotations.add(Annotation(Span(ann.span.begin + begin, ann.span.end + begin), ann.entity))
     return sorted(annotations, key=_key)
+
+
+def oracle_annotate(text: str, linker: Callable[[str], list[Annotation]], max_tokens: int) -> list[Annotation]:
+    """The annotate chain with a text-only linker, which tokenizes each segment's text itself."""
+    return _oracle_chain(text, max_tokens, lambda segment, tokens: linker(segment))
+
+
+def oracle_annotate_on_document_tokens(
+    text: str, linker: Callable[..., list[Annotation]], max_tokens: int
+) -> list[Annotation]:
+    """The annotate chain with a token-fed linker.
+
+    The linker gets each segment's text and, as ``tokens=``, the segment's
+    slice of the document's tokens shifted to the segment.
+    """
+    return _oracle_chain(text, max_tokens, lambda segment, tokens: linker(segment, tokens=tokens))
 
 
 def oracle_link_prior_argmax(

@@ -164,25 +164,30 @@ def test_split_tokenizes_the_document_once() -> None:
     assert seen == [text]
 
 
-def test_segment_cut_inside_a_chunk_is_retokenized() -> None:
+def test_segment_cut_inside_a_chunk_slices_the_document_tokens() -> None:
     # the document's tokens are won|by|Japan|'s|team; a cut after Japan
-    # leaves "'s team", which splits as '|s|team on its own
+    # leaves "'s team", which keeps 's whole although alone it splits as '|s
     first, second = split_document("won by Japan's team", 3)
     assert (first.text, first.token_range, first.tokens) == ("won by Japan", (0, 3), ((0, 3), (4, 6), (7, 12)))
-    assert (second.text, second.token_range, second.tokens) == ("'s team", (3, 5), ((0, 1), (1, 2), (3, 7)))
+    assert (second.text, second.token_range, second.tokens) == ("'s team", (3, 5), ((0, 2), (3, 7)))
 
 
 SEGMENT_PIECES = ("Japan", "team", "won", "n't", "'s", "’", "'", "do", ".", "!", "?", ",", "(", ")", '"', " ", "  ", "\n")
 
 
 @given(st.lists(st.sampled_from(SEGMENT_PIECES), max_size=40), st.integers(1, 6))
+@example(["Japan", "'s"], 1)
 @example(["won", " ", "by", " ", "Japan", "'s", " ", "team"], 3)
 @example([" ", "(", "Japan", ".", ")", " ", "do", "n't", "!", " "], 2)
 @settings(max_examples=500, deadline=None)
-def test_segment_tokens_are_those_of_its_text(pieces: list[str], max_tokens: int) -> None:
+def test_segment_tokens_are_the_documents_slice(pieces: list[str], max_tokens: int) -> None:
     text = "".join(pieces)
+    document = offsets(text)
     for segment in split_document(text, max_tokens):
-        assert list(segment.tokens) == offsets(segment.text)
+        first, last = segment.token_range
+        shift = segment.char_offset
+        assert len(segment.tokens) <= max_tokens
+        assert list(segment.tokens) == [(begin - shift, end - shift) for begin, end in document[first:last]]
 
 
 def test_split_rejects_bad_max_tokens() -> None:
@@ -229,6 +234,10 @@ def test_subtoken_to_char_inclusive_range() -> None:
     mapping = SubtokenMap(entries=((0, Span(0, 5)), (1, Span(6, 9)), (2, Span(9, 12))))
     out = subtoken_to_char([(1, 2, "B")], mapping)
     assert out == [(Span(6, 12), "B")]
+
+
+def test_subtoken_to_char_reads_a_plain_mapping() -> None:
+    assert subtoken_to_char([(0, 1, "B")], {0: Span(0, 5), 1: Span(6, 9)}) == [(Span(0, 9), "B")]
 
 
 def test_subtoken_to_char_unknown_index() -> None:

@@ -351,7 +351,7 @@ def test_cli_run_matches_library_pipeline(workspace, monkeypatch, policy: str, l
     resources = load_resources(config)
     corpus = parse_conll(FIXTURE_CONLL, name="fixture")
     library = run_benchmark(
-        corpus, InProcessAnnotator(build_pipeline(config, resources)), config, vocabulary=resources.inkb
+        corpus, InProcessAnnotator(build_pipeline(config, resources)), config, vocabulary=resources.vocabulary
     )
     assert [r.without_runtime() for r in reports] == [library.without_runtime()]
 
@@ -416,6 +416,12 @@ def test_ablate_orders_policies(workspace, capsys) -> None:
     delta_lines = (out / DELTA_FILE).read_text().splitlines()
     assert delta_lines[1] == "full\t-100.00\t-100.00"
     assert delta_lines[2] == "empty\t+0.00\t-100.00"
+
+
+def test_run_full_policy_without_resources_is_usage_error(workspace, capsys) -> None:
+    assert cli_main(["run", "--policy", "full", "--corpus", str(workspace["corpus"]), "--out", str(workspace["out"])]) == 2
+    assert capsys.readouterr().err == "usage error: full-vocabulary policy needs --vocab-path or --dict-path\n"
+    assert not workspace["out"].exists()
 
 
 def test_ablate_requires_dictionary(workspace) -> None:

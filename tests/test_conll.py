@@ -28,6 +28,11 @@ def test_reconstruct_closing_punctuation_set() -> None:
     assert text == "Tokyo's win, then; done!"
 
 
+def test_reconstruct_rejects_an_empty_surface() -> None:
+    with pytest.raises(MalformedLine, match="^token 1 has an empty surface$"):
+        reconstruct_text(["a", ""])
+
+
 def test_reconstruct_sentence_breaks_do_not_change_spacing() -> None:
     with_breaks = parse_conll(b"-DOCSTART- (d1)\nJapan O\nwon O\n. O\n\nSyria O\nlost O\n. O\n")
     without, _ = reconstruct_text(["Japan", "won", ".", "Syria", "lost", "."])

@@ -6,15 +6,14 @@ score-dense inputs of ``bench/gen.py`` (loaded read-only from its file),
 runs each command through ``cli_main``, and compares the SHA-256 of every
 file the command writes, ``runtime_ms:`` line removed, with the digests
 recorded below. ``run`` and ``ablate`` run with the prior_argmax and the
-token_merge linker, and ``run`` also with ``--max-tokens 16``, which cuts
+token_merge linker. ``run`` also runs with ``--max-tokens 16``, which cuts
 segments inside whitespace chunks, and with ``--max-tokens 3`` under each
 of the three linkers on the ablate-full inputs, the densest cutting pinned
 here. The coherence run reads an embedding table this test writes from the
 vocabulary and corpus words, so it runs the rerank with a non-zero
 similarity term; the 19 picks that term changes are wrong either way, so
-its reports equal prior_argmax's. A digest
-changes only with the scorer's numbers or the report format, and a change
-to either is a deliberate one.
+its reports equal prior_argmax's. A digest changes only with the scorer's
+numbers or the report format, and a change to either is a deliberate one.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from oracles import (
     hypotheses_then_merge,
     merge_token_predictions,
     oracle_annotate,
+    oracle_annotate_on_document_tokens,
     oracle_link_prior_argmax,
     oracle_resolve_overlaps,
     oracle_tokenize,
@@ -42,6 +43,7 @@ from linkeval import (
     load_embeddings,
     load_vocabulary,
     score_candidates,
+    split_document,
     tokenize,
 )
 from linkeval import linkers
@@ -71,6 +73,12 @@ def test_load_embeddings_errors() -> None:
         load_embeddings("a\tx y\n")
     with pytest.raises(MalformedLine):
         load_embeddings("")
+    with pytest.raises(MalformedLine, match="^line 1: empty vector$"):
+        load_embeddings("k\t\n")
+
+
+def test_load_embeddings_skips_blank_lines() -> None:
+    assert list(load_embeddings("\na\t1 2\n \t \n").vectors) == ["a"]
 
 
 @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
@@ -106,6 +114,25 @@ def test_coherence_dimension_mismatch() -> None:
     params = CoherenceParams(bilinear=np.eye(2))
     with pytest.raises(DimensionMismatch):
         coherence_score(["w"], table, params)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: EmbeddingTable(dimension=0, vectors={}), DimensionMismatch),
+        (lambda: EmbeddingTable(dimension=2, vectors={"w": np.zeros(3)}), DimensionMismatch),
+        (lambda: CoherenceParams(bilinear=np.zeros((2, 3))), DimensionMismatch),
+        (lambda: CoherenceParams(bilinear=np.eye(2), context_window=-1), ValueError),
+        (lambda: enumerate_token_windows([(0, 1)], 0, text="a", policy=FULL_POLICY), ValueError),
+        (lambda: link_coherence_rerank("a", FULL_POLICY, EmbeddingTable.empty(), CoherenceParams.zeros(1), top_p=0),
+         ValueError),
+    ],
+    ids=["zero-dimension", "wrong-shape-vector", "non-square-matrix", "negative-context-window",
+         "zero-max-length", "zero-top-p"],
+)
+def test_invalid_linker_arguments_raise(build, error) -> None:
+    with pytest.raises(error):
+        build()
 
 
 def test_enumerate_token_windows_count_and_order() -> None:
@@ -275,9 +302,15 @@ PIECE_PARAMS = CoherenceParams(bilinear=np.array([[1.0, 0.5], [0.0, 2.0]]),
 
 @given(piece_rows, st.lists(st.sampled_from(PIECES), max_size=30), st.integers(1, 6), st.integers(1, 3))
 @example([("'s", EntityId("E1"), 0.25), ("'", EntityId("E2"), 0.25)], ["won", " ", "Japan", "'s", " ", "team"], 3, 2)
+@example([("'s", EntityId("E1"), 0.25), ("'", EntityId("E2"), 0.25)], ["won", " ", "by", " ", "Japan", "'s", " ", "team"], 3, 2)
 @settings(max_examples=150, deadline=None)
-def test_pipeline_on_segment_tokens_matches_retokenizing_oracle(rows, pieces, max_tokens, max_span_tokens) -> None:
+def test_pipelines_match_the_annotate_oracles(rows, pieces, max_tokens, max_span_tokens) -> None:
     text = "".join(pieces)
+    cuts_meet_whitespace = all(
+        (s.char_offset == 0 or text[s.char_offset - 1].isspace())
+        and (s.char_offset + len(s.text) == len(text) or text[s.char_offset + len(s.text)].isspace())
+        for s in split_document(text, max_tokens)
+    )
     policies = (
         CandidatePolicy(CandidateMode.DICTIONARY, dictionary=AliasDictionary.from_pairs(rows)),
         FULL_POLICY,
@@ -291,8 +324,12 @@ def test_pipeline_on_segment_tokens_matches_retokenizing_oracle(rows, pieces, ma
             functools.partial(link_token_merge, policy=policy),
         )
         for linker in linker_fns:
-            pipeline = AnnotationPipeline(linker, max_tokens=max_tokens, takes_tokens=True)
-            assert pipeline.annotate(text) == oracle_annotate(text, linker, max_tokens)
+            on_tokens = AnnotationPipeline(linker, max_tokens=max_tokens, takes_tokens=True).annotate(text)
+            on_text = AnnotationPipeline(linker, max_tokens=max_tokens).annotate(text)
+            assert on_tokens == oracle_annotate_on_document_tokens(text, linker, max_tokens)
+            assert on_text == oracle_annotate(text, linker, max_tokens)
+            if cuts_meet_whitespace:
+                assert on_tokens == on_text
 
 
 def test_empty_policy_looks_nothing_up(monkeypatch) -> None:

@@ -29,6 +29,7 @@ def test_make_entity_maps_reserved_marker() -> None:
     assert make_entity("--NME--") is NONE_ENTITY
     assert make_entity("--NME--").is_none
     assert not make_entity("JAPAN_NT").is_none
+    assert str(EntityId("X")) == "X"
 
 
 def test_span_rejects_bad_offsets() -> None:
@@ -38,6 +39,8 @@ def test_span_rejects_bad_offsets() -> None:
         Span(3, 3)
     with pytest.raises(InvalidSpan):
         Span(5, 2)
+    with pytest.raises(InvalidSpan, match="must be integers"):
+        Span("0", 1)
 
 
 def test_span_overlap_is_strict_interval_intersection() -> None:
