@@ -14,6 +14,9 @@ vocabulary and corpus words, so it runs the rerank with a non-zero
 similarity term; the 19 picks that term changes are wrong either way, so
 its reports equal prior_argmax's. A digest changes only with the scorer's
 numbers or the report format, and a change to either is a deliberate one.
+``run --policy full`` and ``ablate`` also run without ``--vocab-path`` on
+the ablate-full inputs, so the full policy's candidates and the in-KB set
+come from the alias dictionary's own vocabulary.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ COMMANDS = {
     # 354 of its segments have an edge inside a whitespace chunk
     "run-max-tokens-16": ("run-dict", ["run", "--corpus", "{corpus}", "--dict-path", "{aliases}", "--policy", "dict",
                                        "--linker", "prior_argmax", "--max-tokens", "16", "--parallel", "1"]),
+    # no --vocab-path: the full policy's candidates and the in-KB set are the dictionary's vocabulary
+    "run-full-dict-vocabulary": ("ablate-full", ["run", "--corpus", "{corpus}", "--dict-path", "{aliases}",
+                                                 "--policy", "full", "--linker", "prior_argmax"]),
+    "ablate-dict-vocabulary": ("ablate-full", ["ablate", "--corpus", "{corpus}", "--dict-path", "{aliases}",
+                                               "--linker", "prior_argmax"]),
     **{
         f"run-max-tokens-3-{linker}": ("ablate-full", ["run", "--corpus", "{corpus}", "--dict-path", "{aliases}",
                                                        "--vocab-path", "{vocab}", "--embeddings-path", "{embeddings}",
@@ -55,6 +63,19 @@ COMMANDS = {
 
 GOLDEN = {
     "ablate": {
+        "dict/error_ratios.tsv": "d62cd60fac0f6ce2f3b398931ef24c1247d2ea3d2841a6871b889c0b74fcc449",
+        "dict/report.csv": "46d6a7b6f98cbfc37372e341790aa730f07b032264d035ca68eee9a6534171a7",
+        "dict/summary.txt": "1044b9408780d5556a2486737df3b19bc0c2d92b07f8d0486dc4cf93f4acd834",
+        "empty/error_ratios.tsv": "11fbbf32ea7c0697c751917f556133b16f1f5369c5395fcab7ab4c3945ea2eee",
+        "empty/report.csv": "4e5f47dc70513556fb7d9cf84b1b1af724dbcb0a0ea3f709fd96c7c713ea8cd2",
+        "empty/summary.txt": "d39cb9d15745df241d97e0d32aa8ea8c20438bf7d8048c3ed7efe50d23363b2a",
+        "error_ratios.tsv": "18ae91ae16ce23913d73b9e610a9d497efc1995880a165eeffc112a8c046ebd4",
+        "full/error_ratios.tsv": "3e02d57e39eb9aba3e858e9b74713e6bc1c5d969173f69e16dfd91a75597faa9",
+        "full/report.csv": "5b329b4cfe996eaed6317c134f675db4b09619c666ad95eb9a1c884aa0c77e46",
+        "full/summary.txt": "0eb2ae04341c243074bcf31c7ae7f66d05d756a06209904a324a378761785fd2",
+        "pr_delta.tsv": "09e557b5dde56672b8427485ff71f18df0e519d758ef0532e8020225ff844e41",
+    },
+    "ablate-dict-vocabulary": {
         "dict/error_ratios.tsv": "d62cd60fac0f6ce2f3b398931ef24c1247d2ea3d2841a6871b889c0b74fcc449",
         "dict/report.csv": "46d6a7b6f98cbfc37372e341790aa730f07b032264d035ca68eee9a6534171a7",
         "dict/summary.txt": "1044b9408780d5556a2486737df3b19bc0c2d92b07f8d0486dc4cf93f4acd834",
@@ -84,6 +105,11 @@ GOLDEN = {
         "error_ratios.tsv": "b6bfd4641ae36f070dbd221b32d47b32afe2e3b7cd23c031f56ef760e131ac66",
         "report.csv": "43f31d75c76b723b7859c4d18fc64dab9d6944ba1316003bba1d7985f2ee420b",
         "summary.txt": "d488f4bcaaa22dd71a8ac35c90ee6e304fc321638f23afbaa995ad6f35752593",
+    },
+    "run-full-dict-vocabulary": {
+        "error_ratios.tsv": "3b710b77b0903bd6edc1a16c0219b077cf4e6861e15d061d849e95a81c0bb083",
+        "report.csv": "5b329b4cfe996eaed6317c134f675db4b09619c666ad95eb9a1c884aa0c77e46",
+        "summary.txt": "0eb2ae04341c243074bcf31c7ae7f66d05d756a06209904a324a378761785fd2",
     },
     "run-max-tokens-16": {
         "error_ratios.tsv": "c10f6e9dd013257fc58e32b46ed1a0b065b6661f196c96881e1e6f0a4d9a7c9f",
