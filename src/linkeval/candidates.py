@@ -24,6 +24,41 @@ def _rank(pairs: Iterable[Candidate]) -> tuple[Candidate, ...]:
     return tuple(sorted(pairs, key=lambda c: (-c[1], c[0].id)))
 
 
+def _check_sum(mention: str, ranked: tuple[Candidate, ...]) -> None:
+    """Reject a mention whose priors, summed in ranked order, exceed 1 plus the tolerance."""
+    total = 0.0
+    for _, prior in ranked:
+        total += prior
+    if total > 1.0 + _SUM_TOLERANCE:
+        raise PriorOutOfRange(f"{mention!r}: priors sum to {total}, above 1")
+
+
+def _fold(entries: Mapping[str, tuple[Candidate, ...]], distinct: bool) -> dict[str, tuple[Candidate, ...]]:
+    """The lowercase index: per ``str.lower`` key, each entity at its highest prior, ranked.
+
+    When ``distinct`` promises that no entity repeats within a mention, a
+    key that only one mention folds to shares that mention's ranked tuple;
+    every other key merges its mentions' candidates and ranks them again.
+    """
+    index: dict[str, tuple[Candidate, ...]] = {}
+    merged: dict[str, dict[EntityId, float]] = {}
+    for mention, ranked in entries.items():
+        key = mention.lower()
+        if distinct and key not in index:
+            index[key] = ranked
+            continue
+        bucket = merged.get(key)
+        if bucket is None:
+            bucket = merged[key] = dict(index.get(key, ()))
+            index[key] = ()  # holds the key's first-seen place until it is ranked below
+        for entity, prior in ranked:
+            if prior > bucket.get(entity, -1.0):
+                bucket[entity] = prior
+    for key, bucket in merged.items():
+        index[key] = _rank(bucket.items())
+    return index
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """Ranked candidates for one mention surface."""
@@ -52,25 +87,20 @@ class AliasDictionary:
     def __post_init__(self) -> None:
         entries = {m: _rank(cands) for m, cands in self.entries.items()}
         for mention, cands in entries.items():
-            total = 0.0
             for entity, prior in cands:
                 if not (0.0 <= prior <= 1.0):
                     raise PriorOutOfRange(f"{mention!r} -> {entity.id}: prior {prior} outside [0, 1]")
-                total += prior
-            if total > 1.0 + _SUM_TOLERANCE:
-                raise PriorOutOfRange(f"{mention!r}: priors sum to {total}, above 1")
-        lowered: dict[str, dict[EntityId, float]] = {}
-        for mention, cands in entries.items():
-            bucket = lowered.setdefault(mention.lower(), {})
-            for entity, prior in cands:
-                if prior > bucket.get(entity, -1.0):
-                    bucket[entity] = prior
+            _check_sum(mention, cands)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(
-            self,
-            "lowercase_index",
-            {m: _rank(bucket.items()) for m, bucket in lowered.items()},
-        )
+        object.__setattr__(self, "lowercase_index", _fold(entries, distinct=False))
+
+    @classmethod
+    def _from_ranked(cls, entries: dict[str, tuple[Candidate, ...]]) -> "AliasDictionary":
+        """Build from entries already ranked and checked, no entity twice per mention; skips ``__post_init__``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "lowercase_index", _fold(entries, distinct=True))
+        return self
 
     @property
     def vocabulary(self) -> frozenset[EntityId]:
@@ -97,16 +127,21 @@ class AliasDictionary:
 def load_alias_dictionary(data: bytes | str | IO[bytes]) -> AliasDictionary:
     """Load a tab-separated ``mention<TAB>entity<TAB>prior`` file.
 
-    Lines starting with ``#`` and blank lines are ignored. Duplicate
-    (mention, entity) rows keep the maximum prior.
+    Lines starting with ``#`` and blank lines are ignored. Entity ids are
+    stripped, and duplicate (mention, entity) rows keep the maximum prior.
+    Every row is checked before any mention's prior sum. ``lookup`` takes
+    an exact surface match first; otherwise it returns the merged
+    candidates of every mention with the same ``str.lower`` form (which
+    lowers a word-final Σ to ς), each entity at its highest prior.
     """
-    pairs: list[tuple[str, EntityId, float]] = []
+    grouped: dict[str, dict[str, float]] = {}
     for number, line in data_lines(data):
         fields = line.split("\t")
         if len(fields) != 3:
             raise MalformedLine(f"expected 3 tab-separated fields, got {len(fields)}", number)
         mention, entity_id, prior_text = fields
-        if not mention or not entity_id.strip():
+        entity_id = entity_id.strip()
+        if not mention or not entity_id:
             raise MalformedLine("mention and entity must be non-empty", number)
         try:
             prior = float(prior_text)
@@ -114,8 +149,21 @@ def load_alias_dictionary(data: bytes | str | IO[bytes]) -> AliasDictionary:
             raise MalformedLine(f"prior {prior_text!r} is not a number", number) from exc
         if not (0.0 <= prior <= 1.0):
             raise PriorOutOfRange(f"line {number}: prior {prior} outside [0, 1]")
-        pairs.append((mention, make_entity(entity_id.strip()), prior))
-    return AliasDictionary.from_pairs(pairs)
+        bucket = grouped.get(mention)
+        if bucket is None:
+            bucket = grouped[mention] = {}
+        if prior > bucket.get(entity_id, -1.0):
+            bucket[entity_id] = prior
+    interned: dict[str, EntityId] = {}
+    entries: dict[str, tuple[Candidate, ...]] = {}
+    for mention, bucket in grouped.items():
+        ranked = _rank(
+            (interned.get(entity_id) or interned.setdefault(entity_id, make_entity(entity_id)), prior)
+            for entity_id, prior in bucket.items()
+        )
+        _check_sum(mention, ranked)
+        entries[mention] = ranked
+    return AliasDictionary._from_ranked(entries)
 
 
 def load_vocabulary(data: bytes | str | IO[bytes]) -> tuple[EntityId, ...]:

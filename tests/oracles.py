@@ -29,7 +29,7 @@ from linkeval import (
     make_entity,
     tokenize,
 )
-from linkeval.errors import DanglingITag, EmptyCorpus, LengthMismatch, MalformedLine
+from linkeval.errors import DanglingITag, EmptyCorpus, LengthMismatch, MalformedLine, PriorOutOfRange
 
 
 def _inkb(ann: Annotation, vocabulary: set[EntityId] | frozenset[EntityId]) -> bool:
@@ -383,6 +383,70 @@ def hash_scorer(seed: int) -> Callable[[str, str | None], float]:
         return int.from_bytes(digest[:8], "big") / 2**63 - 1.0
 
     return score_next
+
+
+AliasIndex = dict[str, tuple[tuple[EntityId, float], ...]]
+
+
+def _oracle_rank(pairs: Iterable[tuple[EntityId, float]]) -> tuple[tuple[EntityId, float], ...]:
+    return tuple(sorted(pairs, key=lambda c: (-c[1], c[0].id)))
+
+
+def oracle_alias_dictionary_from_pairs(pairs: Iterable[tuple[str, EntityId, float]]) -> tuple[AliasIndex, AliasIndex]:
+    """(entries, lowercase_index) the way ``AliasDictionary.from_pairs`` built them in two passes.
+
+    Group at the highest prior per (mention, entity), rank every mention,
+    check each candidate's prior and then the mention's sum in ranked
+    order, then merge every mention's ranked candidates into its
+    ``str.lower`` key at the highest prior and rank every key again.
+    """
+    grouped: dict[str, dict[EntityId, float]] = {}
+    for mention, entity, prior in pairs:
+        bucket = grouped.setdefault(mention, {})
+        if prior > bucket.get(entity, -1.0):
+            bucket[entity] = prior
+    entries = {m: _oracle_rank(bucket.items()) for m, bucket in grouped.items()}
+    for mention, cands in entries.items():
+        total = 0.0
+        for entity, prior in cands:
+            if not (0.0 <= prior <= 1.0):
+                raise PriorOutOfRange(f"{mention!r} -> {entity.id}: prior {prior} outside [0, 1]")
+            total += prior
+        if total > 1.0 + 1e-9:
+            raise PriorOutOfRange(f"{mention!r}: priors sum to {total}, above 1")
+    lowered: dict[str, dict[EntityId, float]] = {}
+    for mention, cands in entries.items():
+        bucket = lowered.setdefault(mention.lower(), {})
+        for entity, prior in cands:
+            if prior > bucket.get(entity, -1.0):
+                bucket[entity] = prior
+    return entries, {m: _oracle_rank(bucket.items()) for m, bucket in lowered.items()}
+
+
+def oracle_load_alias_dictionary(text: str) -> tuple[AliasIndex, AliasIndex]:
+    """(entries, lowercase_index) of an alias TSV, by the row-list loader.
+
+    Every row becomes a (mention, entity, prior) triple, checked line by
+    line, and the list goes to oracle_alias_dictionary_from_pairs.
+    """
+    pairs: list[tuple[str, EntityId, float]] = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MalformedLine(f"expected 3 tab-separated fields, got {len(fields)}", number)
+        mention, entity_id, prior_text = fields
+        if not mention or not entity_id.strip():
+            raise MalformedLine("mention and entity must be non-empty", number)
+        try:
+            prior = float(prior_text)
+        except ValueError as exc:
+            raise MalformedLine(f"prior {prior_text!r} is not a number", number) from exc
+        if not (0.0 <= prior <= 1.0):
+            raise PriorOutOfRange(f"line {number}: prior {prior} outside [0, 1]")
+        pairs.append((mention, make_entity(entity_id.strip()), prior))
+    return oracle_alias_dictionary_from_pairs(pairs)
 
 
 _DOCSTART = "-DOCSTART-"

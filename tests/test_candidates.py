@@ -3,8 +3,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_alias_dictionary_from_pairs, oracle_load_alias_dictionary
 from linkeval import (
+    NONE_ENTITY,
     AliasDictionary,
     CandidateMode,
     CandidatePolicy,
@@ -14,7 +18,7 @@ from linkeval import (
     load_alias_dictionary,
     load_vocabulary,
 )
-from linkeval.errors import MalformedLine, PriorOutOfRange
+from linkeval.errors import LinkEvalError, MalformedLine, PriorOutOfRange
 
 
 def test_load_orders_by_descending_prior() -> None:
@@ -78,6 +82,24 @@ def test_lookup_exact_then_lowercase_fallback() -> None:
     # unseen casings fall back to the merged lowercase index
     assert d.lookup("JAPAN") == ((EntityId("JAPAN_NT"), 0.9), (EntityId("JAPAN_LOWER"), 0.5))
     assert d.lookup("unknown") == ()
+
+
+def test_loader_interns_each_entity_once() -> None:
+    d = load_alias_dictionary("a\tE1\t0.5\nb\tE1\t0.4\nc\t--NME--\t0.2\nd\t E1 \t0.3\nd\tE1\t0.6\n")
+    entity = d.entries["a"][0][0]
+    assert d.entries["b"][0][0] is entity
+    assert d.entries["c"][0][0] is NONE_ENTITY
+    # a padded id and a bare one share one bucket at the maximum prior
+    assert d.entries["d"] == ((EntityId("E1"), 0.6),) and d.entries["d"][0][0] is entity
+    # a lowercase key that only one mention folds to shares its ranked tuple
+    assert d.lowercase_index["a"] is d.entries["a"]
+
+
+def test_constructor_merges_an_entity_repeated_within_a_mention() -> None:
+    a = EntityId("A")
+    d = AliasDictionary(entries={"m": ((a, 0.3), (a, 0.5))})
+    assert d.entries["m"] == ((a, 0.5), (a, 0.3))
+    assert d.lowercase_index == {"m": ((a, 0.5),)}
 
 
 def test_vocabulary_collects_all_entities() -> None:
@@ -190,3 +212,74 @@ def test_empty_trie_has_no_members() -> None:
 def test_alias_dictionary_from_pairs_validates() -> None:
     with pytest.raises(PriorOutOfRange):
         AliasDictionary.from_pairs([("m", EntityId("A"), 1.2)])
+
+
+MENTIONS = ("Paris", "PARIS", "paris", "ΟΔΟΣ", "οδος", "Οδός", "ΑΣ", "m", " m", "New York")
+ENTITY_IDS = ("E1", "E1", "E2", "E3", "e1", " E1 ", "E2\t", "--NME--", " --NME--", "", " ")
+# the last two pairs sum to 1 plus or minus rounding around the 1e-9 tolerance
+PRIORS = ("0.1", "0.2", "0.25", "0.3", "0", "-0.0", "1", "1e-9", " 0.5 ", "0.5000000005", "0.4999999995",
+          "0.500000001", "0.499999999")
+BAD_PRIORS = ("nan", "1.5", "-0.1", "inf", "abc", "")
+
+
+@st.composite
+def alias_line(draw, bad: bool) -> str:
+    kind = draw(st.sampled_from(("row",) * 8 + ("blank", "comment", "fields") if bad else ("row",)))
+    if kind == "blank":
+        return draw(st.sampled_from(("", "  ", "\t")))
+    if kind == "comment":
+        return "# mention\tentity\tprior"
+    fields = [draw(st.sampled_from(MENTIONS)), draw(st.sampled_from(ENTITY_IDS if bad else ENTITY_IDS[:5])),
+              draw(st.sampled_from(PRIORS + BAD_PRIORS if bad else PRIORS))]
+    if kind == "fields":
+        fields = fields[: draw(st.integers(1, 2))] if draw(st.booleans()) else fields + ["x"]
+    return "\t".join(fields)
+
+
+@st.composite
+def alias_tsv(draw) -> str:
+    lines = draw(st.lists(alias_line(draw(st.booleans())), max_size=12))
+    # repeat some rows so (mention, entity) duplicates are common
+    return "\n".join(lines + draw(st.lists(st.sampled_from(lines), max_size=3)) if lines else lines)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except LinkEvalError as exc:
+        return exc
+
+
+def _assert_same_dictionary(got: AliasDictionary | Exception, expected) -> None:
+    if isinstance(expected, Exception):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+    else:
+        entries, lowercase_index = expected
+        assert not isinstance(got, Exception), got
+        assert list(got.entries.items()) == list(entries.items())
+        assert list(got.lowercase_index.items()) == list(lowercase_index.items())
+
+
+@given(alias_tsv())
+@example("Paris\tE1\t0.5\nPARIS\tE2\t0.4\nparis\tE1\t0.7\nParis\t E2 \t0.2")
+@example("ΟΔΟΣ\tE1\t0.3\nοδος\tE2\t0.6\nΟδός\tE1\t0.1\nοδος\tE1\t0.4")
+@example("m\tE1\t0.5000000005\nm\tE2\t0.5000000005\nΑΣ\tE1\t0.6\nΑΣ\tE2\t0.6")
+@example("m\tE1\t0.7\nm\tE2\t0.7\nm\tE3\tnan")
+@settings(max_examples=600, deadline=None)
+def test_load_alias_dictionary_matches_oracle(text: str) -> None:
+    _assert_same_dictionary(_outcome(load_alias_dictionary, text), _outcome(oracle_load_alias_dictionary, text))
+
+
+ENTITIES = (EntityId("A"), EntityId("B"), EntityId("a"), NONE_ENTITY, EntityId("--NME--"))
+PAIR_PRIORS = (0.0, -0.0, 0.1, 0.25, 0.5, 0.5000000005, 1.0, 1.5, -0.5, -2.0, float("nan"), float("inf"))
+
+
+@given(st.lists(st.tuples(st.sampled_from(MENTIONS), st.sampled_from(ENTITIES), st.sampled_from(PAIR_PRIORS)),
+                max_size=10))
+@example([("m", EntityId("A"), 1.2)])
+@example([("Paris", EntityId("A"), 0.4), ("PARIS", EntityId("A"), 0.6), ("paris", NONE_ENTITY, 0.1)])
+@settings(max_examples=400, deadline=None)
+def test_from_pairs_matches_oracle(pairs: list[tuple[str, EntityId, float]]) -> None:
+    _assert_same_dictionary(
+        _outcome(AliasDictionary.from_pairs, pairs), _outcome(oracle_alias_dictionary_from_pairs, pairs)
+    )
