@@ -115,9 +115,14 @@ class AliasDictionary:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, EntityId, float]]) -> "AliasDictionary":
-        """Build a dictionary, keeping the highest prior per (mention, entity)."""
+        """Build a dictionary, keeping the highest prior per (mention, entity).
+
+        Every pair's prior is checked before any is grouped.
+        """
         grouped: dict[str, dict[EntityId, float]] = {}
         for mention, entity, prior in pairs:
+            if not (0.0 <= prior <= 1.0):
+                raise PriorOutOfRange(f"{mention!r} -> {entity.id}: prior {prior} outside [0, 1]")
             bucket = grouped.setdefault(mention, {})
             if prior > bucket.get(entity, -1.0):
                 bucket[entity] = prior

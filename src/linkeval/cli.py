@@ -216,8 +216,8 @@ def _cmd_serve(args: argparse.Namespace, config: RunConfig) -> int:
     pipeline = build_pipeline(config, load_resources(config))
     host, port = _parse_endpoint(args.endpoint)
     service = serve(pipeline, host, port)
-    print(f"serving {config.linker} on {service.endpoint}", flush=True)
     try:
+        print(f"serving {config.linker} on {service.endpoint}", flush=True)
         service.serve_forever()
     except KeyboardInterrupt:
         pass

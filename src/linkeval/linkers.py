@@ -13,20 +13,23 @@ in, a list of non-overlapping annotations out.
 constrained_beam_decode is the building block for generative linkers: a
 beam search over an entity trie driven by an injected scoring callback, so
 the output is always a known entity id.
+
+numpy is imported only by the code that builds or scores embedding vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import IO, Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .adapters import tokenize
 from .candidates import Candidate, CandidatePolicy, EntityTrie, candidates_for
 from .errors import DimensionMismatch, EmptyTrie, MalformedLine
 from .model import Annotation, EntityId, Span, TokenSpan, normalize_annotations, read_utf8
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Tokenizer = Callable[[str], list[TokenSpan]]
 Offsets = Sequence[tuple[int, int]]
@@ -65,6 +68,8 @@ def load_embeddings(data: bytes | str | IO[bytes]) -> EmbeddingTable:
     Only blank lines are skipped: a key may start with ``#``. Every
     component must be a finite number.
     """
+    import numpy as np
+
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
     for number, line in enumerate(read_utf8(data).splitlines(), start=1):
@@ -107,6 +112,8 @@ class CoherenceParams:
     context_window: int = DEFAULT_CONTEXT_WINDOW
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         mat = np.asarray(self.bilinear, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"bilinear matrix must be square, got shape {mat.shape}")
@@ -116,6 +123,8 @@ class CoherenceParams:
 
     @classmethod
     def zeros(cls, dimension: int, context_window: int = DEFAULT_CONTEXT_WINDOW) -> "CoherenceParams":
+        import numpy as np
+
         return cls(bilinear=np.zeros((dimension, dimension)), word_weights={}, context_window=context_window)
 
 
@@ -254,6 +263,8 @@ def score_candidates(
     mention words and the entity vector; either side missing contributes
     zero. Returns one (entity, score) pair per input candidate, in order.
     """
+    import numpy as np
+
     mention_vecs = [v for v in (embeddings.vector(w) for w in mention_words) if v is not None]
     mention_vec = np.mean(mention_vecs, axis=0) if mention_vecs else None
     context_term = coherence_score(context_words, embeddings, params)

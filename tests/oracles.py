@@ -395,13 +395,16 @@ def _oracle_rank(pairs: Iterable[tuple[EntityId, float]]) -> tuple[tuple[EntityI
 def oracle_alias_dictionary_from_pairs(pairs: Iterable[tuple[str, EntityId, float]]) -> tuple[AliasIndex, AliasIndex]:
     """(entries, lowercase_index) the way ``AliasDictionary.from_pairs`` built them in two passes.
 
-    Group at the highest prior per (mention, entity), rank every mention,
-    check each candidate's prior and then the mention's sum in ranked
-    order, then merge every mention's ranked candidates into its
-    ``str.lower`` key at the highest prior and rank every key again.
+    Check every pair's prior in input order, group at the highest prior
+    per (mention, entity), rank every mention, check each candidate's
+    prior and then the mention's sum in ranked order, then merge every
+    mention's ranked candidates into its ``str.lower`` key at the highest
+    prior and rank every key again.
     """
     grouped: dict[str, dict[EntityId, float]] = {}
     for mention, entity, prior in pairs:
+        if not (0.0 <= prior <= 1.0):
+            raise PriorOutOfRange(f"{mention!r} -> {entity.id}: prior {prior} outside [0, 1]")
         bucket = grouped.setdefault(mention, {})
         if prior > bucket.get(entity, -1.0):
             bucket[entity] = prior

@@ -210,8 +210,10 @@ def test_empty_trie_has_no_members() -> None:
 
 
 def test_alias_dictionary_from_pairs_validates() -> None:
-    with pytest.raises(PriorOutOfRange):
-        AliasDictionary.from_pairs([("m", EntityId("A"), 1.2)])
+    # a bad prior after a good one for the same entity loses the max, yet still raises
+    for prior in (1.2, float("nan"), -2.0, float("-inf")):
+        with pytest.raises(PriorOutOfRange, match=rf"^'m' -> A: prior {prior} outside \[0, 1\]$"):
+            AliasDictionary.from_pairs([("m", EntityId("A"), 0.5), ("m", EntityId("A"), prior)])
 
 
 MENTIONS = ("Paris", "PARIS", "paris", "ΟΔΟΣ", "οδος", "Οδός", "ΑΣ", "m", " m", "New York")

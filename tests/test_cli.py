@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import urllib.request
@@ -542,6 +543,79 @@ def test_serve_subcommand_end_to_end(workspace) -> None:
     finally:
         process.terminate()
         process.communicate(timeout=10)  # waits, then closes the child's pipes
+
+
+def test_serve_interrupted_before_serving_exits_0_and_closes(workspace, monkeypatch) -> None:
+    class InterruptedService:
+        closed = False
+
+        @property
+        def endpoint(self) -> str:  # Ctrl-C lands while the banner is printed
+            raise KeyboardInterrupt
+
+        def serve_forever(self) -> None:
+            raise AssertionError("serve_forever ran after the interrupt")
+
+        def server_close(self) -> None:
+            self.closed = True
+
+    service = InterruptedService()
+    monkeypatch.setattr(cli, "serve", lambda pipeline, host, port: service)
+    try:
+        status = cli_main(["serve", "--endpoint", "127.0.0.1:0", "--dict-path", str(workspace["dict"])])
+    except KeyboardInterrupt:  # would otherwise end the whole test session
+        pytest.fail("KeyboardInterrupt escaped serve")
+    assert (status, service.closed) == (0, True)
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+CLI_MAIN = "from linkeval.cli import cli_main\nassert cli_main(sys.argv[1:]) == 0"
+SERVE_PATH = (
+    "from linkeval import RunConfig, serve\n"
+    "from linkeval.cli import build_pipeline, load_resources\n"
+    "config = RunConfig(dict_path=sys.argv[1])\n"
+    "serve(build_pipeline(config, load_resources(config))).server_close()"
+)
+
+
+def _loads_numpy(code: str, *args: str) -> bool:
+    """Whether a fresh interpreter running ``code`` with ``sys.argv[1:] == args`` has imported numpy."""
+    script = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        ("import linkeval", []),
+        ("import linkeval.cli", []),
+        (CLI_MAIN, ["run", "--corpus", "{corpus}", "--dict-path", "{dict}", "--out", "{out}"]),
+        (CLI_MAIN, ["run", "--corpus", "{corpus}", "--dict-path", "{dict}", "--linker", "coherence", "--out", "{out}"]),
+        (CLI_MAIN, ["ablate", "--corpus", "{corpus}", "--dict-path", "{dict}", "--out", "{out}"]),
+        (CLI_MAIN, ["score", "--corpus", "{corpus}", "--predictions", "{predictions}", "--dict-path", "{dict}",
+                    "--out", "{out}"]),
+        (SERVE_PATH, ["{dict}"]),
+    ],
+    ids=["import", "import-cli", "run", "run-coherence-no-vectors", "ablate", "score", "serve"],
+)
+def test_commands_without_vectors_never_import_numpy(workspace, code: str, argv: list[str]) -> None:
+    assert not _loads_numpy(code, *(arg.format(**workspace) for arg in argv))
+
+
+def test_coherence_with_vectors_imports_numpy(workspace, tmp_path: Path) -> None:
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_text("Japan\t0.5 1.0\nJAPAN_NT\t1.0 0.0\n")
+    argv = ["run", "--corpus", str(workspace["corpus"]), "--dict-path", str(workspace["dict"]), "--linker", "coherence"]
+    argv += ["--embeddings-path", str(vectors), "--out", str(workspace["out"])]
+    assert _loads_numpy(CLI_MAIN, *argv)
 
 
 def test_load_predictions_parses_and_groups() -> None:
