@@ -117,7 +117,8 @@ class AliasDictionary:
     def from_pairs(cls, pairs: Iterable[tuple[str, EntityId, float]]) -> "AliasDictionary":
         """Build a dictionary, keeping the highest prior per (mention, entity).
 
-        Every pair's prior is checked before any is grouped.
+        Every pair's prior is checked before any is grouped; each mention is
+        then ranked and its sum checked once, as the loader does.
         """
         grouped: dict[str, dict[EntityId, float]] = {}
         for mention, entity, prior in pairs:
@@ -126,7 +127,11 @@ class AliasDictionary:
             bucket = grouped.setdefault(mention, {})
             if prior > bucket.get(entity, -1.0):
                 bucket[entity] = prior
-        return cls(entries={m: tuple(bucket.items()) for m, bucket in grouped.items()})
+        entries: dict[str, tuple[Candidate, ...]] = {}
+        for mention, bucket in grouped.items():
+            entries[mention] = _rank(bucket.items())
+            _check_sum(mention, entries[mention])
+        return cls._from_ranked(entries)
 
 
 def load_alias_dictionary(data: bytes | str | IO[bytes]) -> AliasDictionary:

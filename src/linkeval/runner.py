@@ -11,27 +11,32 @@ Protocol failures are contained per document: the offending document is
 scored with zero predictions and noted in the report, and the run
 continues. Only an endpoint that cannot be connected to aborts the run.
 
-The HTTP client keeps one persistent connection per thread, with
-TCP_NODELAY set (http.client sets it on every socket it connects; the
-service sets it on its side), so small requests and replies are not held
-back by Nagle's algorithm meeting delayed ACK. Annotate is a pure function
-of the text, so a request whose connection is lost (a reset, a keep-alive
-socket the server closed, a reply cut short) is re-sent once on a fresh
-connection. A second loss, a read timeout, a reply other than HTTP 200 or
-a body that breaks the wire format is that document's protocol violation.
-A connection that failed is closed, so a reply that arrives late is never
-read as the next document's; bytes a lying Content-Length leaves behind
-fail the next request's status line, which is re-sent.
+The HTTP client keeps one persistent socket per thread and frames
+HTTP/1.1 itself: each request's head and body go out in one write, and
+the reply's status line, headers and exactly Content-Length body bytes
+are read through a buffered reader. It sets TCP_NODELAY on each socket
+(the service sets it on its side), so small requests and replies are not
+held back by Nagle's algorithm meeting delayed ACK. A failed connect
+raises AnnotatorUnreachable. Annotate is a pure function of the text, so
+a request whose connection is lost (a reset, a keep-alive socket the
+server closed, a reply cut short) is re-sent once on a fresh socket. A
+second loss, a read timeout, a reply other than HTTP 200, a reply without
+a Content-Length or a body that breaks the wire format is that
+document's protocol violation. A socket that failed is closed, so a reply
+that arrives late is never read as the next document's; bytes a lying
+Content-Length leaves behind fail the next request's status line, which
+is re-sent. A reply with ``Connection: close`` closes the socket after
+it, and the next request reconnects.
 """
 
 from __future__ import annotations
 
-import http.client
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import IO, Mapping, Protocol, Sequence
 
 from .conll import Corpus
 from .errors import AnnotatorUnreachable, LinkEvalError, ProtocolViolation
@@ -47,7 +52,16 @@ from .scoring import (
     match_annotations,
     micro_prf,
 )
-from .service import AnnotateRequest, AnnotationPipeline, RawTriple, decode_response, encode_request, validate_triples
+from .service import (
+    MAX_LINE_BYTES,
+    AnnotateRequest,
+    AnnotationPipeline,
+    RawTriple,
+    decode_response,
+    encode_request,
+    read_headers,
+    validate_triples,
+)
 
 LINKER_CHOICES = ("prior_argmax", "coherence", "token_merge")
 POLICY_CHOICES = ("dict", "full", "empty")
@@ -95,19 +109,89 @@ class InProcessAnnotator:
         return self.pipeline.annotate_triples(text)
 
 
-class _Connection(http.client.HTTPConnection):
-    """A keep-alive connection for which a failed connect means unreachable."""
+_MAX_LENGTH_DIGITS = 15  # a reply's Content-Length; int() refuses 4300+ digits
+_READ_CHUNK_BYTES = 1 << 20
 
-    def connect(self) -> None:
+
+class RemoteDisconnected(ConnectionError):
+    """The service closed the connection before a reply's status line."""
+
+
+class BadStatusLine(ConnectionError):
+    """A reply did not start with an HTTP/1.x status line."""
+
+
+class IncompleteRead(ConnectionError):
+    """The connection ended before a reply's headers and Content-Length bytes."""
+
+
+class _Connection:
+    """One thread's keep-alive socket, opened on first use and after each close."""
+
+    def __init__(self, address: tuple[str, int], head: bytes, timeout: float):
+        self.address = address
+        self.head = head  # the request head up to the Content-Length value
+        self.timeout = timeout
+        self.sock: socket.socket | None = None
+        self._rfile: IO[bytes] | None = None
+
+    def _connect(self) -> None:
         try:
-            super().connect()
+            self.sock = socket.create_connection(self.address, self.timeout)
         except OSError as exc:
-            self.close()  # back to idle, so a later request may try again
-            raise AnnotatorUnreachable(f"cannot reach {self.host}:{self.port}: {exc}") from exc
+            raise AnnotatorUnreachable(f"cannot reach {self.address[0]}:{self.address[1]}: {exc}") from exc
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._rfile = self.sock.makefile("rb")
 
+    def post(self, body: bytes) -> tuple[int, bytes]:
+        """Send one POST /annotate in one write and read its reply's status and body.
 
-# the connection was lost before a whole reply arrived; RemoteDisconnected is both
-_LOST = (ConnectionError, http.client.BadStatusLine, http.client.IncompleteRead)
+        Any failure closes the socket, so a reply arriving late is never
+        read as the next one.
+        """
+        if self.sock is None:
+            self._connect()
+        try:
+            self.sock.sendall(b"%s%d\r\n\r\n%s" % (self.head, len(body), body))
+            return self._read_reply()
+        except BaseException:
+            self.close()
+            raise
+
+    def _read_reply(self) -> tuple[int, bytes]:
+        line = self._rfile.readline(MAX_LINE_BYTES + 1)
+        if not line:
+            raise RemoteDisconnected("the service closed the connection without a reply")
+        version, _, rest = line.partition(b" ")
+        if not (version.startswith(b"HTTP/1.") and rest[:3].isdigit()):
+            raise BadStatusLine(f"{line[:100]!r}")
+        try:
+            headers = read_headers(self._rfile)
+        except ValueError as exc:
+            raise ProtocolViolation(f"reply has {exc}") from exc
+        if headers is None:
+            raise IncompleteRead("the connection ended inside the reply's headers")
+        length_text = headers.get(b"content-length", b"")
+        if not (length_text.isdigit() and len(length_text) <= _MAX_LENGTH_DIGITS):
+            raise ProtocolViolation(f"reply needs a Content-Length of digits, got {length_text[:30].decode('latin-1')!r}")
+        length, received, chunks = int(length_text), 0, []
+        while received < length:  # bounded reads: a read allocates its whole size before any byte arrives
+            chunk = self._rfile.read(min(length - received, _READ_CHUNK_BYTES))
+            if not chunk:
+                raise IncompleteRead(f"{received} of {length} body bytes")
+            chunks.append(chunk)
+            received += len(chunk)
+        if headers.get(b"connection", b"").lower() == b"close":
+            self.close()
+        return int(rest[:3]), b"".join(chunks)
+
+    def close(self) -> None:
+        """Close the socket; the next post reconnects."""
+        sock, rfile = self.sock, self._rfile
+        self.sock = self._rfile = None
+        if sock is not None:
+            rfile.close()  # the socket closes once its file is closed too
+            sock.close()
 
 
 class HttpAnnotator:
@@ -121,7 +205,15 @@ class HttpAnnotator:
     def __init__(self, endpoint: str, timeout: float = 30.0):
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
-        self._address = self.endpoint.removeprefix("http://")
+        authority = self.endpoint.removeprefix("http://")
+        host, _, port = authority.rpartition(":")
+        if not (host and port.isdigit()):
+            raise ValueError(f"endpoint must look like host:port or http://host:port, got {endpoint!r}")
+        self._address = (host.strip("[]"), int(port))
+        self._head = (
+            f"POST /annotate HTTP/1.1\r\nHost: {authority}\r\n"
+            "Content-Type: application/json; charset=utf-8\r\nContent-Length: "
+        ).encode("ascii")
         self._local = threading.local()
         self._lock = threading.Lock()
         self._connections: list[_Connection] = []
@@ -129,34 +221,24 @@ class HttpAnnotator:
     def _connection(self) -> _Connection:
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = self._local.connection = _Connection(self._address, timeout=self.timeout)
+            connection = self._local.connection = _Connection(self._address, self._head, self.timeout)
             with self._lock:
                 self._connections.append(connection)
         return connection
-
-    @staticmethod
-    def _send(connection: _Connection, body: bytes) -> tuple[int, bytes]:
-        headers = {"Content-Type": "application/json; charset=utf-8"}
-        connection.request("POST", "/annotate", body=body, headers=headers)
-        response = connection.getresponse()
-        return response.status, response.read()
 
     def _exchange(self, body: bytes) -> tuple[int, bytes]:
         """One POST /annotate and its reply's status and body.
 
         A failed connect raises AnnotatorUnreachable. A lost connection is
-        re-sent once; any other failure closes the connection and raises
-        ProtocolViolation.
+        re-sent once; any other failure raises ProtocolViolation.
         """
         connection = self._connection()
         try:
             try:
-                return self._send(connection, body)
-            except _LOST:
-                connection.close()  # the re-sent request reconnects
-                return self._send(connection, body)
-        except (OSError, http.client.HTTPException) as exc:
-            connection.close()  # a reply arriving late must not be read as the next one
+                return connection.post(body)
+            except ConnectionError:  # the re-sent request reconnects
+                return connection.post(body)
+        except OSError as exc:
             raise ProtocolViolation(f"POST /annotate failed: {type(exc).__name__}: {exc}") from exc
 
     def annotate(self, text: str, doc_id: str | None = None) -> list[RawTriple]:

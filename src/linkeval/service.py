@@ -10,20 +10,30 @@ POST /annotate runs the adapter chain (split into segments, link each
 segment, merge back) and returns annotations for the whole input. GET
 /health reports the service and linker identity.
 
-A request body must be framed by a Content-Length of at most
-MAX_BODY_BYTES: a missing header gets 411, a malformed or negative one
-400 and a larger one 413, each closing the connection unread, as does
-the 404 for a POST to any other path. A linker failure gets a 500 that
-names the exception class, not its message; the traceback goes to the
-server's stderr. A client that stalls mid-request for REQUEST_TIMEOUT_S
-seconds has its connection closed, so no handler thread waits on it for
-longer. A client that hangs up before its reply is written is not logged
-as a server error. stop() ends the keep-alive connections still open, so
-a stopped service answers no further request.
+The service parses HTTP/1.1 itself, one thread per connection: it reads
+the request line, header lines up to the blank line and then exactly
+Content-Length body bytes, and sends each reply's status line, headers
+and body in one write. A request body must be framed by a Content-Length
+of at most MAX_BODY_BYTES: a missing header gets 411, a malformed or
+negative one 400 and a larger one 413, each closing the connection
+unread, as does the 404 for a POST to any other path. A request line
+over MAX_LINE_BYTES gets 414, a header line over MAX_LINE_BYTES or more
+than MAX_HEADERS of them 431, an HTTP version other than 1.0 or 1.1 505
+and any method but GET and POST 501, each closing the connection too.
+A linker failure gets a 500 that names the exception class, not its
+message; the traceback goes to the server's stderr. A client that stalls
+mid-request for REQUEST_TIMEOUT_S seconds has its connection closed, so
+no handler thread waits on it for longer. A client that hangs up before
+its reply is written is not logged as a server error. stop() ends the
+keep-alive connections still open, so a stopped service answers no
+further request.
 
-Connections are persistent (HTTP/1.1 keep-alive) and TCP_NODELAY is set on
-each, because the reply's headers and body go out in two writes and
-Nagle's algorithm would hold the second back for the client's delayed ACK.
+Connections are persistent (HTTP/1.1 keep-alive) and pipelined requests
+are answered in order. A request with ``Connection: close``, or an
+HTTP/1.0 one without ``Connection: keep-alive``, closes after its reply.
+``Expect: 100-continue`` gets an interim ``100 Continue`` before the body
+is read. TCP_NODELAY is set on each connection, so a reply is never held
+back by Nagle's algorithm waiting for the client's delayed ACK.
 """
 
 from __future__ import annotations
@@ -31,12 +41,13 @@ from __future__ import annotations
 import contextlib
 import json
 import socket
+import socketserver
 import sys
 import threading
 import traceback
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Sequence
+from http import HTTPStatus
+from typing import IO, Callable, Sequence
 
 from .adapters import merge_segment_annotations, split_document
 from .errors import BindFailure, MalformedRequest, ProtocolViolation
@@ -49,6 +60,8 @@ RawTriple = tuple[int, int, str]
 
 MAX_BODY_BYTES = 16 * 1024 * 1024
 REQUEST_TIMEOUT_S = 30.0
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
 
 
 @dataclass(frozen=True)
@@ -153,79 +166,125 @@ class AnnotationPipeline:
         return [(a.span.begin, a.span.end, a.entity.id) for a in self.annotate(text)]
 
 
-class _AnnotateHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+def read_headers(rfile: IO[bytes]) -> dict[bytes, bytes] | None:
+    """Read header lines up to the blank line; lowercased names map to stripped values.
+
+    The first of a repeated header wins. Returns None when the stream ends
+    first, and raises ValueError for a line over MAX_LINE_BYTES or more
+    than MAX_HEADERS lines, the limits of http.server and http.client.
+    """
+    headers: dict[bytes, bytes] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line:
+            return None
+        if len(line) > MAX_LINE_BYTES:
+            raise ValueError(f"a header line over {MAX_LINE_BYTES} bytes")
+        name, _, value = line.partition(b":")
+        headers.setdefault(name.strip().lower(), value.strip())
+    raise ValueError(f"more than {MAX_HEADERS} header lines")
+
+
+class _AnnotateHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True  # see the module docstring
     timeout = REQUEST_TIMEOUT_S  # per socket operation; a stalled read closes the connection
     server: "AnnotatorService"
 
-    def _reply(self, status: int, payload: bytes, close: bool = False) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(payload)))
-        if close:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
+    def handle(self) -> None:
+        while self._handle_request():
+            pass
 
-    def _reply_json(self, status: int, obj: dict, close: bool = False) -> None:
-        self._reply(status, json.dumps(obj, ensure_ascii=False).encode("utf-8"), close)
+    def _reply(self, status: int, payload: bytes, close: bool = False) -> bool:
+        """Send one reply in one write; return whether the connection stays open."""
+        head = (
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Content-Type: application/json; charset=utf-8\r\nContent-Length: {len(payload)}\r\n"
+            + ("Connection: close\r\n\r\n" if close else "\r\n")
+        )
+        self.wfile.write(head.encode("ascii") + payload)
+        return not close
 
-    def _body_length(self) -> int | None:
-        """The request's Content-Length, or None after rejecting it.
+    def _reply_json(self, status: int, obj: dict, close: bool = False) -> bool:
+        return self._reply(status, json.dumps(obj, ensure_ascii=False).encode("utf-8"), close)
 
-        A rejected body is left unread, so the reply closes the connection.
-        """
-        header = self.headers.get("Content-Length")
-        if header is None:
-            self._reply_json(411, {"error": "length_required"}, close=True)
-            return None
-        header = header.strip()
-        if not (header.isascii() and header.isdigit()):
-            detail = f"Content-Length must be a non-negative integer, got {header!r}"
-            self._reply_json(400, {"error": "malformed_request", "detail": detail}, close=True)
-            return None
-        length = int(header)
-        if length > MAX_BODY_BYTES:
-            detail = f"body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}"
-            self._reply_json(413, {"error": "body_too_large", "detail": detail}, close=True)
-            return None
-        return length
+    def _reject(self, status: int, error: str, detail: str) -> bool:
+        """A framing error: the rest of the request is left unread, so the connection closes."""
+        return self._reply_json(status, {"error": error, "detail": detail}, close=True)
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        if self.path != "/health":
-            self._reply_json(404, {"error": "not_found"})
-            return
-        self._reply_json(200, {"service": "linkeval-annotator", "linker": self.server.pipeline.name})
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        if self.path != "/annotate":
-            # the body is left unread, so it must not be parsed as a request
-            self._reply_json(404, {"error": "not_found"}, close=True)
-            return
-        length = self._body_length()
-        if length is None:
-            return
+    def _handle_request(self) -> bool:
+        """Read one request and reply to it; return whether the connection stays open."""
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if not line:
+            return False
+        if len(line) > MAX_LINE_BYTES:
+            return self._reject(414, "uri_too_long", f"request line over {MAX_LINE_BYTES} bytes")
+        words = line.split()
+        if len(words) != 3:
+            return self._reject(400, "malformed_request", f"bad request line {line[:100].decode('latin-1')!r}")
+        method, path, version = words
+        if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+            detail = f"{version[:20].decode('latin-1')!r} is not HTTP/1.0 or HTTP/1.1"
+            return self._reject(505, "version_not_supported", detail)
         try:
-            request = decode_request(self.rfile.read(length))
+            headers = read_headers(self.rfile)
+        except ValueError as exc:
+            return self._reject(431, "headers_too_large", str(exc))
+        if headers is None:
+            return False
+        connection = headers.get(b"connection", b"").lower()
+        close = connection == b"close" or (version == b"HTTP/1.0" and connection != b"keep-alive")
+        if method == b"GET":
+            if path != b"/health":
+                return self._reply_json(404, {"error": "not_found"}, close)
+            return self._reply_json(200, {"service": "linkeval-annotator", "linker": self.server.pipeline.name}, close)
+        if method != b"POST":
+            return self._reject(501, "not_implemented", f"method {method[:20].decode('latin-1')!r} is not supported")
+        if path != b"/annotate":
+            # the body is left unread, so it must not be parsed as a request
+            return self._reply_json(404, {"error": "not_found"}, close=True)
+        length = self._body_length(headers.get(b"content-length"))
+        if length is None:
+            return False
+        if headers.get(b"expect", b"").lower() == b"100-continue" and version == b"HTTP/1.1":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = self.rfile.read(length)
+        if len(body) < length:
+            return False  # the client hung up mid-body
+        return self._annotate(body, close)
+
+    def _body_length(self, header: bytes | None) -> int | None:
+        """The request's Content-Length, or None after rejecting it."""
+        if header is None:
+            self._reject(411, "length_required", "a POST body needs a Content-Length")
+        elif not header.isdigit():
+            detail = f"Content-Length must be a non-negative integer, got {header.decode('latin-1')!r}"
+            self._reject(400, "malformed_request", detail)
+        elif len(header) > len(str(MAX_BODY_BYTES)) or int(header) > MAX_BODY_BYTES:  # int() refuses 4300+ digits
+            detail = f"Content-Length {header[:30].decode('ascii')} exceeds the limit of {MAX_BODY_BYTES}"
+            self._reject(413, "body_too_large", detail)
+        else:
+            return int(header)
+        return None
+
+    def _annotate(self, body: bytes, close: bool) -> bool:
+        try:
+            request = decode_request(body)
         except MalformedRequest as exc:
-            self._reply_json(400, {"error": "malformed_request", "detail": str(exc)})
-            return
+            return self._reply_json(400, {"error": "malformed_request", "detail": str(exc)}, close)
         try:
             triples = self.server.pipeline.annotate_triples(request.text)
         except Exception as exc:  # surface linker failures as a server error, without their message
             traceback.print_exc()  # the message and traceback stay on the server's stderr
-            self._reply_json(500, {"error": "annotator_failure", "detail": type(exc).__name__})
-            return
-        self._reply(200, encode_response(triples))
-
-    def log_message(self, format: str, *args) -> None:  # silence per-request logging
-        pass
+            return self._reply_json(500, {"error": "annotator_failure", "detail": type(exc).__name__}, close)
+        return self._reply(200, encode_response(triples), close)
 
 
-class AnnotatorService(ThreadingHTTPServer):
+class AnnotatorService(socketserver.ThreadingTCPServer):
     """HTTP server wrapper owning the annotation pipeline."""
 
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, pipeline: AnnotationPipeline, address: tuple[str, int]):
@@ -244,8 +303,8 @@ class AnnotatorService(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def handle_error(self, request, client_address) -> None:
-        # a client that stopped waiting for its reply (a read timeout, a reset) is not a server fault
-        if not isinstance(sys.exc_info()[1], ConnectionError):
+        # a client that stalled, hung up or stopped waiting for its reply is not a server fault
+        if not isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
             super().handle_error(request, client_address)
 
     def get_request(self) -> tuple[socket.socket, tuple]:

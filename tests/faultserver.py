@@ -13,7 +13,15 @@ service, except that each request whose ``doc_id`` has faults left in
 - ``http500``: HTTP 500 with a JSON error body;
 - ``short_length``: a ``Content-Length`` of half the body, all of it sent;
 - ``long_length``: a ``Content-Length`` beyond the body, the socket kept
-  open, so the client waits for bytes that never come.
+  open, so the client waits for bytes that never come;
+- ``segments``: a correct reply whose status line, headers and body go
+  out in three writes 50 ms apart;
+- ``announce_close``: a correct reply with ``Connection: close``, the
+  socket kept open, so only a client that honours the header reconnects;
+- ``no_length``: a correct reply without ``Content-Length``, the socket
+  kept open;
+- ``huge_length``: a ``Content-Length`` of about a petabyte, the socket
+  kept open.
 
 ``connections`` counts the TCP connections accepted. Use it as a context
 manager: it serves on a background thread and is always shut down.
@@ -24,11 +32,15 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from linkeval.service import AnnotationPipeline, decode_request, encode_response
 
-FAULTS = ("close", "drop", "reset", "truncate", "garbage", "http500", "short_length", "long_length")
+FAULTS = (
+    "close", "drop", "reset", "truncate", "garbage", "http500", "short_length", "long_length",
+    "segments", "announce_close", "no_length", "huge_length",
+)
 
 
 class _FaultHandler(BaseHTTPRequestHandler):
@@ -57,8 +69,21 @@ class _FaultHandler(BaseHTTPRequestHandler):
             length = len(body) // 2
         elif fault == "long_length":
             length = len(body) + 100
-        head = f"HTTP/1.1 {status} X\r\nContent-Type: application/json\r\nContent-Length: {length}\r\n\r\n"
-        self.wfile.write(head.encode("ascii") + body)
+        elif fault == "huge_length":
+            length = 10**15 - 1
+        status_line = f"HTTP/1.1 {status} X\r\n".encode("ascii")
+        headers = "Content-Type: application/json\r\n"
+        if fault != "no_length":
+            headers += f"Content-Length: {length}\r\n"
+        if fault == "announce_close":
+            headers += "Connection: close\r\n"
+        parts = [status_line, headers.encode("ascii") + b"\r\n", body]
+        if fault == "segments":
+            for part in parts:
+                self.wfile.write(part)
+                time.sleep(0.05)
+        else:
+            self.wfile.write(b"".join(parts))
         if fault == "reset":
             self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         self.close_connection = fault in ("close", "reset", "truncate")

@@ -578,9 +578,12 @@ SERVE_PATH = (
 )
 
 
-def _loads_numpy(code: str, *args: str) -> bool:
-    """Whether a fresh interpreter running ``code`` with ``sys.argv[1:] == args`` has imported numpy."""
-    script = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+GUARDED_MODULES = ("numpy", "http.server", "http.client")
+
+
+def _imported(code: str, *args: str) -> set[str]:
+    """Which GUARDED_MODULES a fresh interpreter running ``code`` with ``sys.argv[1:] == args`` has imported."""
+    script = f"import sys\n{code}\nprint(*(m for m in {GUARDED_MODULES!r} if m in sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
@@ -589,7 +592,7 @@ def _loads_numpy(code: str, *args: str) -> bool:
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()[-1] == "True"
+    return set(result.stdout.splitlines()[-1].split())
 
 
 @pytest.mark.parametrize(
@@ -607,7 +610,17 @@ def _loads_numpy(code: str, *args: str) -> bool:
     ids=["import", "import-cli", "run", "run-coherence-no-vectors", "ablate", "score", "serve"],
 )
 def test_commands_without_vectors_never_import_numpy(workspace, code: str, argv: list[str]) -> None:
-    assert not _loads_numpy(code, *(arg.format(**workspace) for arg in argv))
+    assert "numpy" not in _imported(code, *(arg.format(**workspace) for arg in argv))
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [("import linkeval", []), ("import linkeval.cli", []), (SERVE_PATH, ["{dict}"])],
+    ids=["import", "import-cli", "serve"],
+)
+def test_service_and_client_load_no_http_library(workspace, code: str, argv: list[str]) -> None:
+    # the annotate wire frames HTTP/1.1 itself on both ends
+    assert _imported(code, *(arg.format(**workspace) for arg in argv)) & {"http.server", "http.client"} == set()
 
 
 def test_coherence_with_vectors_imports_numpy(workspace, tmp_path: Path) -> None:
@@ -615,7 +628,7 @@ def test_coherence_with_vectors_imports_numpy(workspace, tmp_path: Path) -> None
     vectors.write_text("Japan\t0.5 1.0\nJAPAN_NT\t1.0 0.0\n")
     argv = ["run", "--corpus", str(workspace["corpus"]), "--dict-path", str(workspace["dict"]), "--linker", "coherence"]
     argv += ["--embeddings-path", str(vectors), "--out", str(workspace["out"])]
-    assert _loads_numpy(CLI_MAIN, *argv)
+    assert "numpy" in _imported(CLI_MAIN, *argv)
 
 
 def test_load_predictions_parses_and_groups() -> None:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -184,18 +186,43 @@ def test_service_malformed_request_is_400(live_service) -> None:
     assert json.loads(payload)["error"] == "malformed_request"
 
 
-def raw_exchange(service, head: bytes, body: bytes = b"", wait: float = 5.0, path: bytes = b"/annotate") -> bytes:
-    """Send one raw POST; return all the server sent before closing.
+def raw_send(service, *segments: bytes, wait: float = 5.0) -> bytes:
+    """Send each segment in its own write, 50 ms apart; return all the server sent before closing.
 
     Raises TimeoutError when the server neither closes nor sends for
     ``wait`` seconds, so a hung handler fails the test instead of hanging it.
     """
     with socket.create_connection(service.server_address[:2], timeout=wait) as sock:
-        sock.sendall(b"POST " + path + b" HTTP/1.1\r\nHost: test\r\n" + head + b"\r\n" + body)
+        for index, segment in enumerate(segments):
+            if index:
+                time.sleep(0.05)
+            sock.sendall(segment)
         chunks = []
         while chunk := sock.recv(65536):
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+def raw_exchange(service, head: bytes, body: bytes = b"", wait: float = 5.0, path: bytes = b"/annotate") -> bytes:
+    """Send one raw POST; return all the server sent before closing."""
+    return raw_send(service, b"POST " + path + b" HTTP/1.1\r\nHost: test\r\n" + head + b"\r\n" + body, wait=wait)
+
+
+def replies(response: bytes) -> list[tuple[int, bytes]]:
+    """Split everything a connection received into (status, body) pairs."""
+    out = []
+    while response:
+        head, _, response = response.partition(b"\r\n\r\n")
+        length = re.search(rb"\r\ncontent-length: *(\d+)", head, re.IGNORECASE)
+        size = int(length.group(1)) if length else 0
+        out.append((int(head.split()[1]), response[:size]))
+        response = response[size:]
+    return out
+
+
+def annotate_request(text: str, version: bytes = b"HTTP/1.1", extra: bytes = b"") -> tuple[bytes, bytes]:
+    body = encode_request(AnnotateRequest(text))
+    return b"POST /annotate " + version + b"\r\nContent-Length: %d\r\n" % len(body) + extra + b"\r\n", body
 
 
 def status_and_error(response: bytes) -> tuple[int, str]:
@@ -216,6 +243,12 @@ def test_bad_content_length_is_400_and_closes(live_service, length: bytes) -> No
 def test_oversized_body_is_413_without_reading_it(live_service) -> None:
     head = b"Content-Length: %d\r\n" % (MAX_BODY_BYTES + 1)
     assert status_and_error(raw_exchange(live_service, head)) == (413, "body_too_large")
+
+
+def test_content_length_of_thousands_of_digits_is_413_and_closes(live_service) -> None:
+    # more digits than int() converts by default
+    response = raw_exchange(live_service, b"Content-Length: " + b"9" * 5000 + b"\r\n")
+    assert status_and_error(response) == (413, "body_too_large")
 
 
 def test_body_shorter_than_header_times_out(monkeypatch) -> None:
@@ -304,3 +337,80 @@ def test_unicode_offsets_count_code_points(live_service) -> None:
     begin, end, entity = triple
     assert text[begin:end] == "Japan"
     assert entity == "JAPAN_NT"
+
+
+# Framing that http.server handled for the service before it parsed HTTP itself.
+
+
+def test_request_line_headers_and_body_in_separate_segments(live_service) -> None:
+    head, body = annotate_request("Japan beat Syria", extra=b"Connection: close\r\n")
+    request_line, headers = head.split(b"\r\n", 1)
+    response = raw_send(live_service, request_line + b"\r\n", headers, body)
+    assert [(status, decode_response(payload)) for status, payload in replies(response)] == [
+        (200, [(0, 5, "JAPAN_NT"), (11, 16, "SYRIA_NT")])
+    ]
+
+
+def test_request_line_over_64_kib_is_414_and_closes(live_service) -> None:
+    # exactly the bytes the server reads, so closing leaves nothing unread to reset the connection
+    response = raw_send(live_service, b"GET /" + b"a" * (65537 - 5))
+    assert [status for status, _ in replies(response)] == [414]
+
+
+@pytest.mark.parametrize(
+    "headers",
+    [b"X-Long: " + b"a" * (65537 - 8), b"X-Many: 1\r\n" * 101],
+    ids=["line-over-64-kib", "101-lines"],
+)
+def test_oversized_header_block_is_431_and_closes(live_service, headers: bytes) -> None:
+    response = raw_send(live_service, b"POST /annotate HTTP/1.1\r\n" + headers)
+    assert [status for status, _ in replies(response)] == [431]
+
+
+def test_header_block_without_its_blank_line_times_out(monkeypatch) -> None:
+    monkeypatch.setattr(_AnnotateHandler, "timeout", 0.5)
+    service = serve(fixture_pipeline())
+    service.start_background()
+    try:
+        assert raw_send(service, b"POST /annotate HTTP/1.1\r\nHost: test\r\nContent-Length: 5\r\n") == b""
+    finally:
+        service.stop()
+
+
+def test_pipelined_requests_are_answered_in_order(live_service) -> None:
+    first = b"".join(annotate_request("Japan"))
+    second = b"".join(annotate_request("Syria lost", extra=b"Connection: close\r\n"))
+    response = raw_send(live_service, first + second)
+    assert [(status, decode_response(payload)) for status, payload in replies(response)] == [
+        (200, [(0, 5, "JAPAN_NT")]),
+        (200, [(0, 5, "SYRIA_NT")]),
+    ]
+
+
+def test_expect_100_continue_gets_an_interim_reply_before_the_body(live_service) -> None:
+    head, body = annotate_request("Japan", extra=b"Expect: 100-continue\r\nConnection: close\r\n")
+    with socket.create_connection(live_service.server_address[:2], timeout=5.0) as sock:
+        sock.sendall(head)
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim += sock.recv(1)
+        sock.sendall(body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+    assert [(status, decode_response(payload)) for status, payload in replies(b"".join(chunks))] == [
+        (200, [(0, 5, "JAPAN_NT")])
+    ]
+
+
+def test_http_1_0_request_closes_after_its_reply(live_service) -> None:
+    response = raw_send(live_service, b"".join(annotate_request("Japan", version=b"HTTP/1.0")))
+    assert [(status, decode_response(payload)) for status, payload in replies(response)] == [
+        (200, [(0, 5, "JAPAN_NT")])
+    ]
+
+
+def test_unknown_method_is_501_and_closes(live_service) -> None:
+    response = raw_send(live_service, b"DELETE /annotate HTTP/1.1\r\nHost: test\r\n\r\n")
+    assert [status for status, _ in replies(response)] == [501]

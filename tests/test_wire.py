@@ -80,6 +80,12 @@ def test_close_closes_every_client_socket(live_service) -> None:
     assert all(sock.fileno() == -1 for sock in sockets)
 
 
+@pytest.mark.parametrize("endpoint", ["localhost", "http://localhost", "127.0.0.1:http", ":8400"])
+def test_endpoint_without_host_and_port_is_rejected_up_front(endpoint: str) -> None:
+    with pytest.raises(ValueError, match="host:port"):
+        HttpAnnotator(endpoint)
+
+
 def test_keep_alive_requests_do_not_stall_on_delayed_ack(live_service) -> None:
     # with Nagle's algorithm on either end, each request waits ~40 ms for a delayed ACK
     annotator = HttpAnnotator(live_service.endpoint)
@@ -167,6 +173,19 @@ def test_a_single_lost_connection_is_resent(script: dict[str, list[str]], connec
 
 
 @pytest.mark.parametrize(
+    ("fault", "connections"),
+    # a client that ignored Connection: close would send p2 on the open socket, over 1 connection
+    [("segments", 1), ("announce_close", 2)],
+)
+def test_a_well_framed_reply_is_read_whole(fault: str, connections: int) -> None:
+    with FaultServer(fixture_pipeline(), {"p1": [fault]}) as server:
+        report = http_report(server.endpoint)
+    assert report.without_runtime() == in_process_report().without_runtime()
+    assert server.script["p1"] == []
+    assert server.connections == connections
+
+
+@pytest.mark.parametrize(
     ("faults", "error"),
     [
         (["drop", "drop"], "RemoteDisconnected"),
@@ -176,8 +195,10 @@ def test_a_single_lost_connection_is_resent(script: dict[str, list[str]], connec
         (["http500"], "HTTP 500"),
         (["short_length"], "not valid JSON"),
         (["long_length"], "TimeoutError"),
+        (["no_length"], "Content-Length"),
+        (["huge_length"], "TimeoutError"),  # not a MemoryError from reading the claimed size at once
     ],
-    ids=["drop", "reset", "truncate", "garbage", "http500", "short_length", "long_length"],
+    ids=["drop", "reset", "truncate", "garbage", "http500", "short_length", "long_length", "no_length", "huge_length"],
 )
 def test_a_repeated_or_framing_fault_fails_its_document_alone(faults: list[str], error: str) -> None:
     with FaultServer(fixture_pipeline(), {"p2": faults}) as server:
