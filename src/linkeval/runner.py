@@ -197,9 +197,9 @@ class _Connection:
 class HttpAnnotator:
     """Speaks the wire protocol against a running annotate service.
 
-    ``endpoint`` is ``host:port`` or ``http://host:port``. Each thread that
-    calls ``annotate`` keeps its own persistent connection; ``close``
-    closes them all.
+    ``endpoint`` is ``host:port`` or ``http://host:port``; any other form
+    raises ValueError. Each thread that calls ``annotate`` keeps its own
+    persistent connection; ``close`` closes them all.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
