@@ -137,11 +137,11 @@ class _Connection:
 
     def _connect(self) -> None:
         try:
-            self.sock = socket.create_connection(self.address, self.timeout)
+            sock = socket.create_connection(self.address, self.timeout)
         except OSError as exc:
             raise AnnotatorUnreachable(f"cannot reach {self.address[0]}:{self.address[1]}: {exc}") from exc
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._rfile = self.sock.makefile("rb")
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock, self._rfile = sock, sock.makefile("rb")
 
     def post(self, body: bytes) -> tuple[int, bytes]:
         """Send one POST /annotate in one write and read its reply's status and body.
