@@ -117,8 +117,8 @@ class AliasDictionary:
     def from_pairs(cls, pairs: Iterable[tuple[str, EntityId, float]]) -> "AliasDictionary":
         """Build a dictionary, keeping the highest prior per (mention, entity).
 
-        Every pair's prior is checked before any is grouped; each mention is
-        then ranked and its sum checked once, as the loader does.
+        Every pair's prior is checked before any is grouped; the constructor
+        then ranks each mention and checks its sum.
         """
         grouped: dict[str, dict[EntityId, float]] = {}
         for mention, entity, prior in pairs:
@@ -127,11 +127,7 @@ class AliasDictionary:
             bucket = grouped.setdefault(mention, {})
             if prior > bucket.get(entity, -1.0):
                 bucket[entity] = prior
-        entries: dict[str, tuple[Candidate, ...]] = {}
-        for mention, bucket in grouped.items():
-            entries[mention] = _rank(bucket.items())
-            _check_sum(mention, entries[mention])
-        return cls._from_ranked(entries)
+        return cls(entries={m: tuple(bucket.items()) for m, bucket in grouped.items()})
 
 
 def load_alias_dictionary(data: bytes | str | IO[bytes]) -> AliasDictionary:

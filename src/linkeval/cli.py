@@ -49,6 +49,7 @@ from .runner import (
     InProcessAnnotator,
     PredictionFileAnnotator,
     RunConfig,
+    parse_endpoint,
     run_benchmark,
 )
 from .scoring import pr_delta
@@ -181,12 +182,11 @@ def build_pipeline(config: RunConfig, resources: Resources) -> AnnotationPipelin
 
 
 def _parse_endpoint(value: str) -> tuple[str, int]:
-    """``host:port`` or ``http://host:port``, as ``serve`` binds and ``run`` connects."""
-    host, _, port_text = value.removeprefix("http://").rstrip("/").rpartition(":")
-    port = int(port_text) if port_text.isascii() and port_text.isdigit() else -1
-    if not host or "/" in host or not 0 <= port <= 65535:
-        raise UsageError(f"endpoint must look like host:port or http://host:port, got {value!r}")
-    return host, port
+    """runner.parse_endpoint, as ``serve`` binds and ``run`` connects, with a usage error."""
+    try:
+        return parse_endpoint(value)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def load_predictions(data: bytes | str) -> dict[str, list[RawTriple]]:

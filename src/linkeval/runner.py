@@ -113,16 +113,13 @@ _MAX_LENGTH_DIGITS = 15  # a reply's Content-Length; int() refuses 4300+ digits
 _READ_CHUNK_BYTES = 1 << 20
 
 
-class RemoteDisconnected(ConnectionError):
-    """The service closed the connection before a reply's status line."""
-
-
-class BadStatusLine(ConnectionError):
-    """A reply did not start with an HTTP/1.x status line."""
-
-
-class IncompleteRead(ConnectionError):
-    """The connection ended before a reply's headers and Content-Length bytes."""
+def parse_endpoint(value: str) -> tuple[str, int]:
+    """(host, port) of ``host:port`` or ``http://host:port``: port 0-65535, no path, IPv6 brackets stripped."""
+    host, _, port_text = value.removeprefix("http://").rstrip("/").rpartition(":")
+    port = int(port_text) if port_text.isascii() and port_text.isdigit() else -1
+    if not host or "/" in host or not 0 <= port <= 65535:
+        raise ValueError(f"endpoint must look like host:port or http://host:port, got {value!r}")
+    return host.strip("[]"), port
 
 
 class _Connection:
@@ -161,16 +158,16 @@ class _Connection:
     def _read_reply(self) -> tuple[int, bytes]:
         line = self._rfile.readline(MAX_LINE_BYTES + 1)
         if not line:
-            raise RemoteDisconnected("the service closed the connection without a reply")
+            raise ConnectionError("the service closed the connection without a reply")
         version, _, rest = line.partition(b" ")
         if not (version.startswith(b"HTTP/1.") and rest[:3].isdigit()):
-            raise BadStatusLine(f"{line[:100]!r}")
+            raise ConnectionError(f"the reply began {line[:100]!r}, not an HTTP/1.x status line")
         try:
             headers = read_headers(self._rfile)
         except ValueError as exc:
             raise ProtocolViolation(f"reply has {exc}") from exc
         if headers is None:
-            raise IncompleteRead("the connection ended inside the reply's headers")
+            raise ConnectionError("the connection ended inside the reply's headers")
         length_text = headers.get(b"content-length", b"")
         if not (length_text.isdigit() and len(length_text) <= _MAX_LENGTH_DIGITS):
             raise ProtocolViolation(f"reply needs a Content-Length of digits, got {length_text[:30].decode('latin-1')!r}")
@@ -178,7 +175,7 @@ class _Connection:
         while received < length:  # bounded reads: a read allocates its whole size before any byte arrives
             chunk = self._rfile.read(min(length - received, _READ_CHUNK_BYTES))
             if not chunk:
-                raise IncompleteRead(f"{received} of {length} body bytes")
+                raise ConnectionError(f"the connection ended after {received} of {length} body bytes")
             chunks.append(chunk)
             received += len(chunk)
         if headers.get(b"connection", b"").lower() == b"close":
@@ -197,21 +194,17 @@ class _Connection:
 class HttpAnnotator:
     """Speaks the wire protocol against a running annotate service.
 
-    ``endpoint`` is ``host:port`` or ``http://host:port``; any other form
-    raises ValueError. Each thread that calls ``annotate`` keeps its own
+    ``endpoint`` is read by parse_endpoint, so a malformed one raises
+    ValueError. Each thread that calls ``annotate`` keeps its own
     persistent connection; ``close`` closes them all.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
-        authority = self.endpoint.removeprefix("http://")
-        host, _, port = authority.rpartition(":")
-        if not (host and port.isdigit()):
-            raise ValueError(f"endpoint must look like host:port or http://host:port, got {endpoint!r}")
-        self._address = (host.strip("[]"), int(port))
+        self._address = parse_endpoint(endpoint)
         self._head = (
-            f"POST /annotate HTTP/1.1\r\nHost: {authority}\r\n"
+            f"POST /annotate HTTP/1.1\r\nHost: {self.endpoint.removeprefix('http://')}\r\n"
             "Content-Type: application/json; charset=utf-8\r\nContent-Length: "
         ).encode("ascii")
         self._local = threading.local()

@@ -16,10 +16,13 @@ Content-Length body bytes, and sends each reply's status line, headers
 and body in one write. A request body must be framed by a Content-Length
 of at most MAX_BODY_BYTES: a missing header gets 411, a malformed or
 negative one 400 and a larger one 413, each closing the connection
-unread, as does the 404 for a POST to any other path. A request line
-over MAX_LINE_BYTES gets 414, a header line over MAX_LINE_BYTES or more
-than MAX_HEADERS of them 431, an HTTP version other than 1.0 or 1.1 505
-and any method but GET and POST 501, each closing the connection too.
+unread, as does the 404 for a POST to any other path. A request with
+Transfer-Encoding gets 501 and closes before any body is read, and a GET
+that carries a Content-Length closes after its reply, so no unread body
+is parsed as the next request. A request line over MAX_LINE_BYTES gets
+414, a header line over MAX_LINE_BYTES or more than MAX_HEADERS of them
+431, an HTTP version other than 1.0 or 1.1 505 and any method but GET
+and POST 501, each closing the connection too.
 A linker failure gets a 500 that names the exception class, not its
 message; the traceback goes to the server's stderr. A client that stalls
 mid-request for REQUEST_TIMEOUT_S seconds has its connection closed, so
@@ -233,9 +236,12 @@ class _AnnotateHandler(socketserver.StreamRequestHandler):
             return self._reject(431, "headers_too_large", str(exc))
         if headers is None:
             return False
+        if b"transfer-encoding" in headers:  # a body framed other than by Content-Length
+            return self._reject(501, "not_implemented", "Transfer-Encoding is not supported")
         connection = headers.get(b"connection", b"").lower()
         close = connection == b"close" or (version == b"HTTP/1.0" and connection != b"keep-alive")
         if method == b"GET":
+            close = close or b"content-length" in headers  # its body is left unread
             if path != b"/health":
                 return self._reply_json(404, {"error": "not_found"}, close)
             return self._reply_json(200, {"service": "linkeval-annotator", "linker": self.server.pipeline.name}, close)

@@ -279,6 +279,22 @@ def test_post_to_unknown_path_is_404_and_closes(live_service) -> None:
     assert status_and_error(response) == (404, "not_found")
 
 
+def test_get_with_a_body_closes_after_its_reply(live_service) -> None:
+    # the unread body must not be parsed as the next request on the connection
+    smuggled = b"GET /nothing HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+    request = b"GET /health HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n" % len(smuggled)
+    assert [status for status, _ in replies(raw_send(live_service, request + smuggled))] == [200]
+
+
+def test_transfer_encoding_is_501_and_closes_before_the_body(live_service) -> None:
+    # a chunked body read by its Content-Length would leave chunk bytes to parse as a request line
+    _, body = annotate_request("Japan")
+    chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+    response = raw_exchange(live_service, b"Transfer-Encoding: chunked\r\nContent-Length: 5\r\n", chunked)
+    assert response.count(b"HTTP/1.1 ") == 1
+    assert status_and_error(response) == (501, "not_implemented")
+
+
 def test_linker_failure_500_names_the_exception_class_only(capsys) -> None:
     def exploding(text: str):
         raise RuntimeError("cannot open /srv/private/model.bin")
