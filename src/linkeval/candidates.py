@@ -24,32 +24,23 @@ def _rank(pairs: Iterable[Candidate]) -> tuple[Candidate, ...]:
     return tuple(sorted(pairs, key=lambda c: (-c[1], c[0].id)))
 
 
-def _check_sum(mention: str, ranked: tuple[Candidate, ...]) -> None:
-    """Reject a mention whose priors, summed in ranked order, exceed 1 plus the tolerance."""
-    total = 0.0
-    for _, prior in ranked:
-        total += prior
-    if total > 1.0 + _SUM_TOLERANCE:
-        raise PriorOutOfRange(f"{mention!r}: priors sum to {total}, above 1")
-
-
-def _fold(entries: Mapping[str, tuple[Candidate, ...]], distinct: bool) -> dict[str, tuple[Candidate, ...]]:
+def _fold(entries: Mapping[str, tuple[Candidate, ...]]) -> dict[str, tuple[Candidate, ...]]:
     """The lowercase index: per ``str.lower`` key, each entity at its highest prior, ranked.
 
-    When ``distinct`` promises that no entity repeats within a mention, a
-    key that only one mention folds to shares that mention's ranked tuple;
-    every other key merges its mentions' candidates and ranks them again.
+    A key that only one mention folds to shares that mention's ranked
+    tuple; every other key merges its mentions' candidates and ranks them
+    again.
     """
     index: dict[str, tuple[Candidate, ...]] = {}
     merged: dict[str, dict[EntityId, float]] = {}
     for mention, ranked in entries.items():
         key = mention.lower()
-        if distinct and key not in index:
+        if key not in index:
             index[key] = ranked
             continue
         bucket = merged.get(key)
         if bucket is None:
-            bucket = merged[key] = dict(index.get(key, ()))
+            bucket = merged[key] = dict(index[key])
             index[key] = ()  # holds the key's first-seen place until it is ranked below
         for entity, prior in ranked:
             if prior > bucket.get(entity, -1.0):
@@ -76,31 +67,39 @@ class CandidateSet:
 class AliasDictionary:
     """Mention surface -> ranked (entity, prior) lists.
 
-    Per mention, priors each lie in [0, 1] and sum to at most 1 (plus a
-    small float tolerance); any remaining mass is implicitly the chance
-    that the mention links to nothing. Priors are never renormalized.
+    Every way of building one comes through this constructor and follows
+    one rule. Per mention, each prior lies in [0, 1]; an entity listed
+    more than once keeps only its highest prior; and the kept priors sum
+    to at most 1 (plus a small float tolerance). Any remaining mass is
+    implicitly the chance that the mention links to nothing. Priors are
+    never renormalized.
     """
 
-    entries: Mapping[str, tuple[Candidate, ...]]
+    entries: Mapping[str, Collection[Candidate]]
     lowercase_index: Mapping[str, tuple[Candidate, ...]] = field(repr=False, init=False)
 
     def __post_init__(self) -> None:
-        entries = {m: _rank(cands) for m, cands in self.entries.items()}
-        for mention, cands in entries.items():
+        entries: dict[str, tuple[Candidate, ...]] = {}
+        for mention, cands in self.entries.items():
             for entity, prior in cands:
                 if not (0.0 <= prior <= 1.0):
                     raise PriorOutOfRange(f"{mention!r} -> {entity.id}: prior {prior} outside [0, 1]")
-            _check_sum(mention, cands)
+            # EntityId hashes in Python, so a set of ids finds repeats first; an id can
+            # repeat without its entity doing so (NONE_ENTITY and a plain "--NME--")
+            if len(cands) > 1 and len({e.id for e, _ in cands}) < len(cands):
+                best: dict[EntityId, float] = {}
+                for entity, prior in cands:
+                    if prior > best.get(entity, -1.0):
+                        best[entity] = prior
+                cands = best.items()
+            entries[mention] = ranked = _rank(cands)
+            total = 0.0
+            for _, prior in ranked:
+                total += prior
+            if total > 1.0 + _SUM_TOLERANCE:
+                raise PriorOutOfRange(f"{mention!r}: priors sum to {total}, above 1")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "lowercase_index", _fold(entries, distinct=False))
-
-    @classmethod
-    def _from_ranked(cls, entries: dict[str, tuple[Candidate, ...]]) -> "AliasDictionary":
-        """Build from entries already ranked and checked, no entity twice per mention; skips ``__post_init__``."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "lowercase_index", _fold(entries, distinct=True))
-        return self
+        object.__setattr__(self, "lowercase_index", _fold(entries))
 
     @property
     def vocabulary(self) -> frozenset[EntityId]:
@@ -115,19 +114,16 @@ class AliasDictionary:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, EntityId, float]]) -> "AliasDictionary":
-        """Build a dictionary, keeping the highest prior per (mention, entity).
+        """Build a dictionary from (mention, entity, prior) pairs by the constructor's rule.
 
-        Every pair's prior is checked before any is grouped; the constructor
-        then ranks each mention and checks its sum.
+        Every pair's prior is checked, in input order, before any mention's sum.
         """
-        grouped: dict[str, dict[EntityId, float]] = {}
+        grouped: dict[str, list[Candidate]] = {}
         for mention, entity, prior in pairs:
             if not (0.0 <= prior <= 1.0):
                 raise PriorOutOfRange(f"{mention!r} -> {entity.id}: prior {prior} outside [0, 1]")
-            bucket = grouped.setdefault(mention, {})
-            if prior > bucket.get(entity, -1.0):
-                bucket[entity] = prior
-        return cls(entries={m: tuple(bucket.items()) for m, bucket in grouped.items()})
+            grouped.setdefault(mention, []).append((entity, prior))
+        return cls(entries=grouped)
 
 
 def load_alias_dictionary(data: bytes | str | IO[bytes]) -> AliasDictionary:
@@ -140,7 +136,8 @@ def load_alias_dictionary(data: bytes | str | IO[bytes]) -> AliasDictionary:
     candidates of every mention with the same ``str.lower`` form (which
     lowers a word-final Σ to ς), each entity at its highest prior.
     """
-    grouped: dict[str, dict[str, float]] = {}
+    interned: dict[str, EntityId] = {}
+    entries: dict[str, list[Candidate]] = {}
     for number, line in data_lines(data):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -155,21 +152,9 @@ def load_alias_dictionary(data: bytes | str | IO[bytes]) -> AliasDictionary:
             raise MalformedLine(f"prior {prior_text!r} is not a number", number) from exc
         if not (0.0 <= prior <= 1.0):
             raise PriorOutOfRange(f"line {number}: prior {prior} outside [0, 1]")
-        bucket = grouped.get(mention)
-        if bucket is None:
-            bucket = grouped[mention] = {}
-        if prior > bucket.get(entity_id, -1.0):
-            bucket[entity_id] = prior
-    interned: dict[str, EntityId] = {}
-    entries: dict[str, tuple[Candidate, ...]] = {}
-    for mention, bucket in grouped.items():
-        ranked = _rank(
-            (interned.get(entity_id) or interned.setdefault(entity_id, make_entity(entity_id)), prior)
-            for entity_id, prior in bucket.items()
-        )
-        _check_sum(mention, ranked)
-        entries[mention] = ranked
-    return AliasDictionary._from_ranked(entries)
+        entity = interned.get(entity_id) or interned.setdefault(entity_id, make_entity(entity_id))
+        entries.setdefault(mention, []).append((entity, prior))
+    return AliasDictionary(entries=entries)
 
 
 def load_vocabulary(data: bytes | str | IO[bytes]) -> tuple[EntityId, ...]:

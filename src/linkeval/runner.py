@@ -116,7 +116,7 @@ _READ_CHUNK_BYTES = 1 << 20
 def parse_endpoint(value: str) -> tuple[str, int]:
     """(host, port) of ``host:port`` or ``http://host:port``: port 0-65535, no path, IPv6 brackets stripped."""
     host, _, port_text = value.removeprefix("http://").rstrip("/").rpartition(":")
-    port = int(port_text) if port_text.isascii() and port_text.isdigit() else -1
+    port = int(port_text) if len(port_text) <= 5 and port_text.isascii() and port_text.isdigit() else -1
     if not host or "/" in host or not 0 <= port <= 65535:
         raise ValueError(f"endpoint must look like host:port or http://host:port, got {value!r}")
     return host.strip("[]"), port

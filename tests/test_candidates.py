@@ -95,11 +95,14 @@ def test_loader_interns_each_entity_once() -> None:
     assert d.lowercase_index["a"] is d.entries["a"]
 
 
-def test_constructor_merges_an_entity_repeated_within_a_mention() -> None:
+def test_constructor_keeps_a_repeated_entity_at_its_highest_prior() -> None:
     a = EntityId("A")
     d = AliasDictionary(entries={"m": ((a, 0.3), (a, 0.5))})
-    assert d.entries["m"] == ((a, 0.5), (a, 0.3))
-    assert d.lowercase_index == {"m": ((a, 0.5),)}
+    assert d.entries["m"] == ((a, 0.5),)
+    assert d.lowercase_index["m"] is d.entries["m"]
+    assert d.lookup("m") == d.lookup("M")
+    # the sum counts each entity once
+    assert AliasDictionary(entries={"m": ((a, 0.6), (a, 0.6))}).entries["m"] == ((a, 0.6),)
 
 
 def test_vocabulary_collects_all_entities() -> None:
@@ -285,4 +288,17 @@ PAIR_PRIORS = (0.0, -0.0, 0.1, 0.25, 0.5, 0.5000000005, 1.0, 1.5, -0.5, -2.0, fl
 def test_from_pairs_matches_oracle(pairs: list[tuple[str, EntityId, float]]) -> None:
     _assert_same_dictionary(
         _outcome(AliasDictionary.from_pairs, pairs), _outcome(oracle_alias_dictionary_from_pairs, pairs)
+    )
+
+
+@given(st.lists(st.tuples(st.sampled_from(MENTIONS), st.sampled_from(ENTITIES),
+                          st.sampled_from([p for p in PAIR_PRIORS if 0.0 <= p <= 1.0])), max_size=10))
+@example([("m", EntityId("A"), 0.45), ("m", EntityId("A"), 0.1)])
+@settings(max_examples=400, deadline=None)
+def test_constructor_matches_the_from_pairs_oracle(pairs: list[tuple[str, EntityId, float]]) -> None:
+    grouped: dict[str, list[tuple[EntityId, float]]] = {}
+    for mention, entity, prior in pairs:
+        grouped.setdefault(mention, []).append((entity, prior))
+    _assert_same_dictionary(
+        _outcome(AliasDictionary, grouped), _outcome(oracle_alias_dictionary_from_pairs, pairs)
     )

@@ -89,6 +89,7 @@ def test_close_closes_every_client_socket(live_service) -> None:
         ":8400",
         "127.0.0.1:70000",
         "127.0.0.1:99999999999",
+        pytest.param("127.0.0.1:" + "9" * 5000, id="127.0.0.1:<5000 nines>"),
         "http://127.0.0.1/x:1",
     ],
 )
