@@ -14,6 +14,12 @@ vocabulary and corpus words, so it runs the rerank with a non-zero
 similarity term; the 19 picks that term changes are wrong either way, so
 its reports equal prior_argmax's. A digest changes only with the scorer's
 numbers or the report format, and a change to either is a deliberate one.
+The same table feeds ``ablate --linker coherence`` at the default
+``--top-p``, whose dict-policy reports differ from prior_argmax's, and
+``run --policy full --linker coherence --top-p 5200`` on a corpus cut to
+the first two ablate-full documents, which re-ranks all 5 200 candidates
+of every window it scores. These reports carry aggregate counts only, so
+tests/test_linkers.py checks the rerank's own picks against an oracle.
 ``run --policy full`` and ``ablate`` also run without ``--vocab-path`` on
 the ablate-full inputs, so the full policy's candidates and the in-KB set
 come from the alias dictionary's own vocabulary.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -32,7 +39,8 @@ from linkeval.cli import cli_main
 
 GEN_PY = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
-# workload whose inputs are generated -> command line, "{name}" for an input file
+# input directory (a bench/gen.py workload, or ablate-full cut to two documents) -> command line,
+# "{name}" for an input file
 COMMANDS = {
     "run": ("run-dict", ["run", "--corpus", "{corpus}", "--dict-path", "{aliases}", "--policy", "dict",
                          "--linker", "prior_argmax", "--max-tokens", "512", "--parallel", "1"]),
@@ -59,6 +67,14 @@ COMMANDS = {
                                                        "--policy", "dict", "--linker", linker, "--max-tokens", "3"])
         for linker in ("prior_argmax", "coherence", "token_merge")
     },
+    "ablate-coherence": ("ablate-full", ["ablate", "--corpus", "{corpus}", "--dict-path", "{aliases}",
+                                         "--vocab-path", "{vocab}", "--embeddings-path", "{embeddings}",
+                                         "--linker", "coherence"]),
+    # every candidate of every scored window is re-ranked, so two documents keep it short
+    "run-full-coherence-top-p-5200": ("ablate-full-two-docs", ["run", "--corpus", "{corpus}", "--dict-path",
+                                                                "{aliases}", "--vocab-path", "{vocab}",
+                                                                "--embeddings-path", "{embeddings}", "--policy",
+                                                                "full", "--linker", "coherence", "--top-p", "5200"]),
 }
 
 GOLDEN = {
@@ -74,6 +90,19 @@ GOLDEN = {
         "full/report.csv": "5b329b4cfe996eaed6317c134f675db4b09619c666ad95eb9a1c884aa0c77e46",
         "full/summary.txt": "0eb2ae04341c243074bcf31c7ae7f66d05d756a06209904a324a378761785fd2",
         "pr_delta.tsv": "09e557b5dde56672b8427485ff71f18df0e519d758ef0532e8020225ff844e41",
+    },
+    "ablate-coherence": {
+        "dict/error_ratios.tsv": "23002d1d57c8538ad618335d223b5ded019a0200ac9e559ae4e9d6fb658f644a",
+        "dict/report.csv": "a8ceb836f0c5922a7ccc5b3b4cc3e001c248c79e9492f30c7f6e6ca4369ea66d",
+        "dict/summary.txt": "a3611006b47ec5e84244f5ef6f5051f8726ff17c05059217ef733192effe5c3e",
+        "empty/error_ratios.tsv": "11fbbf32ea7c0697c751917f556133b16f1f5369c5395fcab7ab4c3945ea2eee",
+        "empty/report.csv": "4e5f47dc70513556fb7d9cf84b1b1af724dbcb0a0ea3f709fd96c7c713ea8cd2",
+        "empty/summary.txt": "d39cb9d15745df241d97e0d32aa8ea8c20438bf7d8048c3ed7efe50d23363b2a",
+        "error_ratios.tsv": "490384ad5047fce114df85d46437529603e0b72a152558d549a396495d246595",
+        "full/error_ratios.tsv": "3e02d57e39eb9aba3e858e9b74713e6bc1c5d969173f69e16dfd91a75597faa9",
+        "full/report.csv": "5b329b4cfe996eaed6317c134f675db4b09619c666ad95eb9a1c884aa0c77e46",
+        "full/summary.txt": "0eb2ae04341c243074bcf31c7ae7f66d05d756a06209904a324a378761785fd2",
+        "pr_delta.tsv": "b51dba8cb16276e9a20b7c393c5f3e261a9edfad0190273564b51e5f3d69af7f",
     },
     "ablate-dict-vocabulary": {
         "dict/error_ratios.tsv": "d62cd60fac0f6ce2f3b398931ef24c1247d2ea3d2841a6871b889c0b74fcc449",
@@ -105,6 +134,11 @@ GOLDEN = {
         "error_ratios.tsv": "b6bfd4641ae36f070dbd221b32d47b32afe2e3b7cd23c031f56ef760e131ac66",
         "report.csv": "43f31d75c76b723b7859c4d18fc64dab9d6944ba1316003bba1d7985f2ee420b",
         "summary.txt": "d488f4bcaaa22dd71a8ac35c90ee6e304fc321638f23afbaa995ad6f35752593",
+    },
+    "run-full-coherence-top-p-5200": {
+        "error_ratios.tsv": "fcdab006011edf8a8daaca35bae293911e6b2104d05c2725bec0c8fdbbb3529d",
+        "report.csv": "bc1b1233241ff6f6e146e79e8cbd8bb993f31b23993ffe6e1087d3345aa65348",
+        "summary.txt": "b095f8bf6931fae0f052e94cd7491bc1722826283230659aee48f1e7e8608f78",
     },
     "run-full-dict-vocabulary": {
         "error_ratios.tsv": "3b710b77b0903bd6edc1a16c0219b077cf4e6861e15d061d849e95a81c0bb083",
@@ -178,11 +212,18 @@ def inputs(tmp_path_factory) -> dict[str, Path]:
     gen = load_gen_module()
     root = tmp_path_factory.mktemp("golden")
     dirs = {}
-    for workload in sorted({workload for workload, _ in COMMANDS.values()}):
+    for workload in sorted({workload for workload, _ in COMMANDS.values()} & set(gen.SHAPES)):
         dirs[workload] = root / workload
         dirs[workload].mkdir()
         gen.generate(gen.SHAPES[workload], 1, dirs[workload])
     write_embeddings(dirs["ablate-full"])
+    dirs["ablate-full-two-docs"] = two_docs = root / "ablate-full-two-docs"
+    two_docs.mkdir()
+    for name in ("aliases.tsv", "vocab.txt", "embeddings.tsv"):
+        shutil.copyfile(dirs["ablate-full"] / name, two_docs / name)
+    lines = (dirs["ablate-full"] / "corpus.conll").read_text(encoding="utf-8").splitlines(keepends=True)
+    third = [i for i, line in enumerate(lines) if line.startswith("-DOCSTART-")][2]
+    (two_docs / "corpus.conll").write_text("".join(lines[:third]), encoding="utf-8")
     return dirs
 
 
