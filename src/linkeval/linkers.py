@@ -3,10 +3,12 @@
 Three self-contained linking strategies share the same shape: plain text
 in, a list of non-overlapping annotations out.
 
-* link_prior_argmax enumerates token spans, looks up candidates for each
-  surface and keeps the highest-prior entity.
-* link_coherence_rerank re-scores the top candidates of each span with
-  embedding similarity plus a context coherence term.
+* link_prior_argmax tries token spans longest first, then earliest, looks
+  up candidates for each span no kept span overlaps and keeps the
+  highest-prior entity.
+* link_coherence_rerank tries spans in the same order and re-scores the
+  top candidates of each with embedding similarity plus a context
+  coherence term.
 * link_token_merge builds per-token predictions from candidate priors and
   merges adjacent tokens that agree.
 
@@ -33,6 +35,7 @@ if TYPE_CHECKING:
 
 Tokenizer = Callable[[str], list[TokenSpan]]
 Offsets = Sequence[tuple[int, int]]
+Window = tuple[int, int, int, int]  # begin, end, first token, last token exclusive
 ScoreNext = Callable[[str, "str | None"], float]
 
 DEFAULT_MAX_SPAN_TOKENS = 5
@@ -160,7 +163,7 @@ def enumerate_token_windows(
     *,
     text: str,
     policy: CandidatePolicy,
-) -> list[tuple[int, int, int, int]]:
+) -> list[Window]:
     """Contiguous token windows of 1..max_length tokens that may have candidates.
 
     ``tokens`` are (begin, end) character offsets into ``text``, in text
@@ -172,7 +175,7 @@ def enumerate_token_windows(
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
-    out: list[tuple[int, int, int, int]] = []
+    out: list[Window] = []
     total = len(tokens)
     may_prefix = policy.may_prefix
     for start, (begin, end) in enumerate(tokens):
@@ -195,18 +198,25 @@ def _offsets(doc_text: str, tokens: Offsets | None, tokenizer: Tokenizer) -> Off
     return [(token.span.begin, token.span.end) for token in tokenizer(doc_text)]
 
 
-def _resolve_overlaps(picked: Sequence[tuple[Span, EntityId]]) -> list[Annotation]:
-    """Greedy overlap resolution: longer spans win, then earlier, then by id.
+def _keep_greedily(windows: Sequence[Window], pick: Callable[[int, int, int, int], EntityId | None]) -> list[Annotation]:
+    """Greedy overlap resolution that picks only for windows it could keep.
 
-    Half-open spans overlap iff they share a character, so one flag per
-    covered character decides each span in time linear in its length.
+    Windows, each a distinct span, are tried longest first, then earliest.
+    pick(*window) runs only for a window that no kept span overlaps; the
+    window is kept when it returns an entity other than the None entity. A
+    window overlapping a kept span could never be kept, so this equals
+    picking every window and resolving overlaps afterwards. Half-open spans
+    overlap iff they share a character, so one flag per covered character
+    decides each window.
     """
-    covered = bytearray(max((span.end for span, _ in picked), default=0))
+    covered = bytearray(max((window[1] for window in windows), default=0))
     kept: list[Annotation] = []
-    for span, entity in sorted(picked, key=lambda p: (-len(p[0]), p[0].begin, p[1].id)):
-        if covered.find(1, span.begin, span.end) == -1:
-            covered[span.begin:span.end] = b"\x01" * len(span)
-            kept.append(Annotation(span, entity))
+    for _, begin, end, first, last in sorted((window[0] - window[1], *window) for window in windows):
+        if covered.find(1, begin, end) == -1:
+            entity = pick(begin, end, first, last)
+            if entity is not None and not entity.is_none:
+                covered[begin:end] = b"\x01" * (end - begin)
+                kept.append(Annotation(Span(begin, end), entity))
     return normalize_annotations(kept)
 
 
@@ -226,28 +236,27 @@ def link_prior_argmax(
     tokenizer: Tokenizer = tokenize,
     tokens: Offsets | None = None,
 ) -> list[Annotation]:
-    """Link by picking the highest-prior candidate for every token span.
+    """Link by picking the highest-prior candidate for token spans.
 
-    That candidate is the first of the span's ranked candidate set, ties
-    having gone to the smallest id, so no span costs time per candidate.
-    Spans with no candidates are ignored, as are spans whose best candidate
-    is the None entity; windows the policy's prefix test rules out are
-    never looked up. Overlaps resolve greedily in favor of longer spans,
-    then earlier ones.
+    Windows are tried longest first, then earliest, and a window is looked
+    up only while no span kept before it overlaps it; windows the policy's
+    prefix test rules out are never looked up. A window's pick is the first
+    of its ranked candidate set, ties having gone to the smallest id, so no
+    window costs time per candidate. A window with no candidates, or whose
+    best candidate is the None entity, is not kept.
 
     ``tokens``, when given, are doc_text's (begin, end) token offsets, as
     a Segment carries them, and tokenizer is not called; the other linkers
     take them the same way.
     """
     tokens = _offsets(doc_text, tokens, tokenizer)
-    picked: list[tuple[Span, EntityId]] = []
-    for begin, end, _first, _last in enumerate_token_windows(tokens, max_span_tokens, text=doc_text, policy=policy):
+
+    def pick(begin: int, end: int, _first: int, _last: int) -> EntityId | None:
         candidates = candidates_for(doc_text[begin:end], policy).candidates
         # ranked by (-prior, id), so the first candidate is the argmax
-        if not candidates or candidates[0][0].is_none:
-            continue
-        picked.append((Span(begin, end), candidates[0][0]))
-    return _resolve_overlaps(picked)
+        return candidates[0][0] if candidates else None
+
+    return _keep_greedily(enumerate_token_windows(tokens, max_span_tokens, text=doc_text, policy=policy), pick)
 
 
 def score_candidates(
@@ -289,27 +298,27 @@ def link_coherence_rerank(
 ) -> list[Annotation]:
     """Link like link_prior_argmax but re-score the top candidates.
 
-    Per span, only the top_p highest-prior candidates are scored. With all
-    vectors absent and all word weights zero the scores collapse to the
-    priors, and the output equals link_prior_argmax's.
+    Windows are tried in link_prior_argmax's order, and a window is scored
+    only while no kept span overlaps it. Only its top_p highest-prior
+    candidates are scored. With all vectors absent and all word weights
+    zero the scores collapse to the priors, and the output equals
+    link_prior_argmax's.
     """
     if top_p < 1:
         raise ValueError(f"top_p must be >= 1, got {top_p}")
     tokens = _offsets(doc_text, tokens, tokenizer)
     window = params.context_window
-    picked: list[tuple[Span, EntityId]] = []
-    for begin, end, first, last in enumerate_token_windows(tokens, max_span_tokens, text=doc_text, policy=policy):
+
+    def pick(begin: int, end: int, first: int, last: int) -> EntityId | None:
         pool = candidates_for(doc_text[begin:end], policy).candidates[:top_p]
         if not pool:
-            continue
+            return None
         context = [doc_text[b:e] for b, e in tokens[max(0, first - window):first]]
         context += [doc_text[b:e] for b, e in tokens[last:last + window]]
         mention_words = [doc_text[b:e] for b, e in tokens[first:last]]
-        best = _argmax_candidate(score_candidates(mention_words, context, pool, embeddings, params))
-        if best is None or best[0].is_none:
-            continue
-        picked.append((Span(begin, end), best[0]))
-    return _resolve_overlaps(picked)
+        return _argmax_candidate(score_candidates(mention_words, context, pool, embeddings, params))[0]
+
+    return _keep_greedily(enumerate_token_windows(tokens, max_span_tokens, text=doc_text, policy=policy), pick)
 
 
 def constrained_beam_decode(score_next: ScoreNext, trie: EntityTrie, beam_width: int = 5) -> EntityId:

@@ -19,14 +19,17 @@ from linkeval import (
     AnnotatedDocument,
     Annotation,
     CandidatePolicy,
+    CoherenceParams,
     ConllLayout,
     Corpus,
     EntityId,
+    EmbeddingTable,
     EntityTrie,
     Span,
     TokenSpan,
     candidates_for,
     make_entity,
+    score_candidates,
     tokenize,
 )
 from linkeval.errors import DanglingITag, EmptyCorpus, LengthMismatch, MalformedLine, PriorOutOfRange
@@ -287,6 +290,42 @@ def oracle_link_prior_argmax(
                     best = (entity, top)
             if best is not None and not best[0].is_none:
                 picked.append((span, best[0]))
+    return oracle_resolve_overlaps(picked)
+
+
+def oracle_link_eagerly(
+    text: str,
+    policy: CandidatePolicy,
+    max_span_tokens: int,
+    rerank: tuple[EmbeddingTable, CoherenceParams, int] | None = None,
+) -> list[Annotation]:
+    """The span linkers' eager walk: pick for every window, then resolve overlaps.
+
+    Every window of 1..max_span_tokens tokens of tokenize(text) looks its
+    surface up with candidates_for. Without ``rerank`` a window scores its
+    candidates by prior (link_prior_argmax). With ``rerank = (embeddings,
+    params, top_p)`` it scores its top_p first candidates with
+    score_candidates, over its own words and the params.context_window
+    words on each side (link_coherence_rerank). The highest score wins,
+    ties going to the smallest id; a window without candidates, or whose
+    winner is the None entity, picks nothing.
+    """
+    spans = [token.span for token in tokenize(text)]
+    words = [text[span.begin:span.end] for span in spans]
+    picked: list[tuple[Span, EntityId]] = []
+    for first in range(len(spans)):
+        for last in range(first + 1, min(first + max_span_tokens, len(spans)) + 1):
+            span = Span(spans[first].begin, spans[last - 1].end)
+            scored = list(candidates_for(text[span.begin:span.end], policy).candidates)
+            if rerank is not None and scored:
+                embeddings, params, top_p = rerank
+                reach = params.context_window
+                context = words[max(0, first - reach):first] + words[last:last + reach]
+                scored = score_candidates(words[first:last], context, scored[:top_p], embeddings, params)
+            if scored:
+                best = min(scored, key=lambda pair: (-pair[1], pair[0].id))[0]
+                if not best.is_none:
+                    picked.append((span, best))
     return oracle_resolve_overlaps(picked)
 
 

@@ -17,6 +17,7 @@ from oracles import (
     merge_token_predictions,
     oracle_annotate,
     oracle_annotate_on_document_tokens,
+    oracle_link_eagerly,
     oracle_link_prior_argmax,
     oracle_resolve_overlaps,
     oracle_tokenize,
@@ -48,7 +49,7 @@ from linkeval import (
 )
 from linkeval import linkers
 from linkeval.errors import DimensionMismatch, EmptyTrie, LengthMismatch, MalformedLine
-from linkeval.linkers import _argmax_candidate, _resolve_overlaps
+from linkeval.linkers import _argmax_candidate, _keep_greedily
 
 
 def dict_policy(tsv: str) -> CandidatePolicy:
@@ -196,10 +197,11 @@ alias_rows = st.lists(
     st.tuples(st.sampled_from(MENTIONS), st.sampled_from(ENTITIES), st.sampled_from((0.05, 0.1, 0.25))),
     max_size=24,
 )
+# a window's pick may be None, as when it has no candidates
 picked_spans = st.lists(
     st.tuples(
         st.builds(lambda begin, length: Span(begin, begin + length), st.integers(0, 12), st.integers(1, 5)),
-        st.sampled_from(ENTITIES[:3]),
+        st.sampled_from((*ENTITIES[:3], None)),
     ),
     max_size=20,
 )
@@ -208,9 +210,24 @@ picked_spans = st.lists(
 @given(picked_spans)
 @example([(Span(0, 3), EntityId("E2")), (Span(0, 3), EntityId("E1")), (Span(0, 2), EntityId("E1")),
           (Span(2, 5), EntityId("E3")), (Span(4, 7), EntityId("E1")), (Span(9, 10), EntityId("E2"))])
+@example([(Span(0, 5), None), (Span(0, 3), EntityId("E2")), (Span(3, 5), EntityId("E1"))])
 @settings(max_examples=300, deadline=None)
 def test_resolve_overlaps_matches_oracle(picked) -> None:
-    assert _resolve_overlaps(picked) == oracle_resolve_overlaps(picked)
+    # one window per distinct span, picking the smallest drawn id as the oracle's order does
+    linked = [(span, entity) for span, entity in picked if entity is not None]
+    choice = {span: min((e for s, e in linked if s == span), key=lambda e: e.id, default=None) for span, _ in picked}
+    kept: list[Span] = []
+
+    def pick(begin: int, end: int, first: int, last: int) -> EntityId | None:
+        span = Span(begin, end)
+        assert (first, last) == (begin, end)
+        assert not any(span.begin < other.end and other.begin < span.end for other in kept)
+        if choice[span] is not None:
+            kept.append(span)
+        return choice[span]
+
+    windows = [(span.begin, span.end, span.begin, span.end) for span in choice]
+    assert _keep_greedily(windows, pick) == oracle_resolve_overlaps(linked)
 
 
 @given(alias_rows, st.permutations(ENTITIES))
@@ -238,6 +255,59 @@ def test_prior_argmax_matches_oracle_linker(rows, words, max_span_tokens) -> Non
     policy = CandidatePolicy(CandidateMode.DICTIONARY, dictionary=AliasDictionary.from_pairs(rows))
     expected = oracle_link_prior_argmax(text, [t.span for t in tokenize(text)], rows, max_span_tokens)
     assert link_prior_argmax(text, policy, max_span_tokens) == expected
+
+
+EAGER_WORDS = ("Paris", "paris", "Texas", "New", "York", "new", "york", "the", ".")
+
+
+@given(
+    alias_rows,
+    st.lists(st.sampled_from(EAGER_WORDS), max_size=12),
+    # vectors for some words and entities only; quarter steps force score ties
+    st.dictionaries(st.sampled_from((*EAGER_WORDS, "E1", "E2", "E3")),
+                    st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=8),
+    st.dictionaries(st.sampled_from(EAGER_WORDS), st.sampled_from((-0.5, 0.25, 1.0)), max_size=3),
+    st.integers(1, 5),
+    st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_span_linkers_match_the_eager_oracle(rows, words, vectors, weights, top_p, max_span_tokens) -> None:
+    text = " ".join(words)
+    table = EmbeddingTable(dimension=2, vectors={key: np.array(vec, dtype=np.float64) / 4 for key, vec in vectors.items()})
+    params = CoherenceParams(bilinear=np.array([[1.0, 0.5], [0.0, -1.0]]), word_weights=weights, context_window=2)
+    # FULL_POLICY pools three linkable entities, so top_p runs below and above the pool size
+    for policy in (
+        CandidatePolicy(CandidateMode.DICTIONARY, dictionary=AliasDictionary.from_pairs(rows)),
+        FULL_POLICY,
+        CandidatePolicy(CandidateMode.EMPTY),
+    ):
+        assert link_prior_argmax(text, policy, max_span_tokens) == oracle_link_eagerly(text, policy, max_span_tokens)
+        assert link_coherence_rerank(text, policy, table, params, top_p, max_span_tokens) == oracle_link_eagerly(
+            text, policy, max_span_tokens, rerank=(table, params, top_p)
+        )
+
+
+def test_span_linkers_look_up_only_windows_they_could_keep(monkeypatch) -> None:
+    looked_up: list[str] = []
+    real = linkers.candidates_for
+    monkeypatch.setattr(linkers, "candidates_for", lambda mention, policy: looked_up.append(mention) or real(mention, policy))
+    # 25 windows; "a b c d e" is kept first, and then only "f g" overlaps nothing kept
+    text = "a b c d e f g"
+    full = link_prior_argmax(text, FULL_POLICY)
+    assert full == [ann(0, 9, "E1"), ann(10, 13, "E1")]
+    assert looked_up == ["a b c d e", "f g"]
+    looked_up.clear()
+    assert link_coherence_rerank(text, FULL_POLICY, EmbeddingTable.empty(), CoherenceParams.zeros(1)) == full
+    assert looked_up == ["a b c d e", "f g"]
+
+    policy = dict_policy("New York City\tNYC\t0.9\nNew York\tNY\t0.8\nYork\tYORK\t0.7\nCity\tCITY\t0.6\nNew\tNEW\t0.5\n")
+    text = "New York City and New York"
+    looked_up.clear()
+    nested = link_prior_argmax(text, policy)
+    assert nested == [ann(0, 13, "NYC"), ann(18, 26, "NY")] == oracle_link_eagerly(text, policy, 5)
+    # 8 windows pass the prefix test; the six nested in a kept span are never looked up
+    assert len(enumerate_token_windows(offsets(text), 5, text=text, policy=policy)) == 8
+    assert looked_up == ["New York City", "New York"]
 
 
 # str.lower maps a capital sigma by what follows it, so these words probe
