@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import IO, Collection, Iterable, Iterator, Mapping
+from typing import IO, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MalformedLine, PriorOutOfRange
 from .model import NONE_ENTITY, EntityId, data_lines, make_entity
@@ -84,9 +84,13 @@ class AliasDictionary:
             for entity, prior in cands:
                 if not (0.0 <= prior <= 1.0):
                     raise PriorOutOfRange(f"{mention!r} -> {entity.id}: prior {prior} outside [0, 1]")
+            if len(cands) == 1:
+                # one prior in [0, 1] is ranked and within the sum bound already
+                entries[mention] = tuple(cands)
+                continue
             # EntityId hashes in Python, so a set of ids finds repeats first; an id can
             # repeat without its entity doing so (NONE_ENTITY and a plain "--NME--")
-            if len(cands) > 1 and len({e.id for e, _ in cands}) < len(cands):
+            if len({e.id for e, _ in cands}) < len(cands):
                 best: dict[EntityId, float] = {}
                 for entity, prior in cands:
                     if prior > best.get(entity, -1.0):
@@ -212,20 +216,37 @@ class CandidatePolicy:
             uniform = 1.0 / len(linkable)
             object.__setattr__(self, "_uniform", tuple((e, uniform) for e in linkable))
 
-    def may_prefix(self, surface: str) -> bool:
-        """False only if no surface that starts with this one has candidates.
+    def prefix_windows(self, text: str, tokens: Sequence[tuple[int, int]], max_length: int) -> list[int]:
+        """Per start token, how many of its 1..max_length token windows some candidate surface may start with.
 
-        Under DICTIONARY this bisects the sorted lowercase alias keys, with
-        final sigma mapped to sigma on both sides: ``str.lower`` is not
-        prefix-preserving there ("ΑΣ" lowers to "ας", "ΑΣ'Α" to "ασ'α").
-        FULL_VOCABULARY always has candidates; EMPTY never does.
+        ``tokens`` are (begin, end) offsets into text. Under DICTIONARY a
+        window's surface is folded (``str.lower``, then final sigma to sigma:
+        "ΑΣ" lowers to "ας" but "ΑΣ'Α" to "ασ'α") and bisected once into the
+        sorted folded alias keys, from where its one-token-shorter prefix's
+        bisect stopped: folding maps each character on its own, so the longer
+        key starts with the shorter. FULL_VOCABULARY counts every window;
+        EMPTY none.
         """
-        if self.mode is CandidateMode.DICTIONARY:
-            key = surface.lower().replace("ς", "σ")
-            keys = self._prefix_keys
-            i = bisect_left(keys, key)
-            return i < len(keys) and keys[i].startswith(key)
-        return self.mode is CandidateMode.FULL_VOCABULARY
+        total = len(tokens)
+        if self.mode is not CandidateMode.DICTIONARY:
+            longest = max_length if self.mode is CandidateMode.FULL_VOCABULARY else 0
+            return [min(longest, total - start) for start in range(total)]
+        keys = self._prefix_keys
+        size = len(keys)
+        counts: list[int] = []
+        for start, (begin, end) in enumerate(tokens):
+            lo = count = 0
+            while True:
+                key = text[begin:end].lower().replace("ς", "σ")
+                lo = bisect_left(keys, key, lo)
+                if lo == size or not keys[lo].startswith(key):
+                    break
+                count += 1
+                if count == max_length or start + count == total:
+                    break
+                end = tokens[start + count][1]
+            counts.append(count)
+        return counts
 
 
 def candidates_for(mention: str, policy: CandidatePolicy) -> CandidateSet:

@@ -168,26 +168,19 @@ def enumerate_token_windows(
 
     ``tokens`` are (begin, end) character offsets into ``text``, in text
     order. Returns (begin, end, first_token, last_token_exclusive) tuples
-    in (start, length) lexicographic order. A window grows from its start
-    token only while ``policy.may_prefix`` holds for its surface, so the
-    windows left out are exactly those no candidate can start with; the
-    full policy keeps every window.
+    in (start, length) lexicographic order. A window is kept while
+    ``policy.prefix_windows`` counts it, so the windows left out are
+    exactly those no candidate can start with; the full policy keeps every
+    window.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
     out: list[Window] = []
-    total = len(tokens)
-    may_prefix = policy.may_prefix
-    for start, (begin, end) in enumerate(tokens):
-        # most tokens start no window, so the one-token window is tested alone
-        if not may_prefix(text[begin:end]):
-            continue
-        out.append((begin, end, start, start + 1))
-        for stop in range(start + 2, min(start + max_length, total) + 1):
-            end = tokens[stop - 1][1]
-            if not may_prefix(text[begin:end]):
-                break
-            out.append((begin, end, start, stop))
+    for start, count in enumerate(policy.prefix_windows(text, tokens, max_length)):
+        if count:
+            begin = tokens[start][0]
+            for stop in range(start + 1, start + count + 1):
+                out.append((begin, tokens[stop - 1][1], start, stop))
     return out
 
 

@@ -3,6 +3,11 @@
 Character offsets throughout the package are indices into Python strings,
 i.e. offsets over Unicode scalar values, never bytes. All types here are
 immutable after construction and safe to share between threads.
+
+EntityId, Span, Annotation and TokenSpan are built by a hand-written
+``__init__`` that checks its arguments and stores each field through its
+slot's descriptor, where a generated frozen ``__init__`` makes one
+``object.__setattr__`` call per field. They stay frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from .errors import InvalidSpan, MalformedLine
 NONE_ENTITY_ID = "--NME--"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EntityId:
     """A knowledge-base entity identifier.
 
@@ -28,12 +33,21 @@ class EntityId:
     id: str
     is_none: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.id or self.id != self.id.strip():
-            raise ValueError(f"entity id must be non-empty with no surrounding whitespace: {self.id!r}")
+    def __init__(self, id: str, is_none: bool = False) -> None:
+        if not id or id != id.strip():
+            raise ValueError(f"entity id must be non-empty with no surrounding whitespace: {id!r}")
+        _set_entity_id(self, id)
+        _set_entity_is_none(self, is_none)
+
+    def __hash__(self) -> int:
+        # equal entities have equal ids, so this keeps the hash rule
+        return hash(self.id)
 
     def __str__(self) -> str:
         return self.id
+
+
+_set_entity_id, _set_entity_is_none = EntityId.id.__set__, EntityId.is_none.__set__
 
 
 NONE_ENTITY = EntityId(NONE_ENTITY_ID, is_none=True)
@@ -50,18 +64,20 @@ def make_entity(raw: str) -> EntityId:
     return EntityId(raw)
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@dataclass(frozen=True, slots=True, order=True, init=False)
 class Span:
     """A half-open character interval [begin, end) into a document text."""
 
     begin: int
     end: int
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.begin, int) and isinstance(self.end, int)):
-            raise InvalidSpan(f"span offsets must be integers: ({self.begin!r}, {self.end!r})")
-        if self.begin < 0 or self.begin >= self.end:
-            raise InvalidSpan(f"require 0 <= begin < end, got ({self.begin}, {self.end})")
+    def __init__(self, begin: int, end: int) -> None:
+        if not (isinstance(begin, int) and isinstance(end, int)):
+            raise InvalidSpan(f"span offsets must be integers: ({begin!r}, {end!r})")
+        if begin < 0 or begin >= end:
+            raise InvalidSpan(f"require 0 <= begin < end, got ({begin}, {end})")
+        _set_span_begin(self, begin)
+        _set_span_end(self, end)
 
     def __len__(self) -> int:
         return self.end - self.begin
@@ -73,24 +89,41 @@ class Span:
         return Span(self.begin + offset, self.end + offset)
 
 
-@dataclass(frozen=True, slots=True)
+_set_span_begin, _set_span_end = Span.begin.__set__, Span.end.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Annotation:
     """One linked mention: a span plus the entity it refers to."""
 
     span: Span
     entity: EntityId
 
-    def sort_key(self) -> tuple[int, int, str]:
-        return (self.span.begin, self.span.end, self.entity.id)
+    def __init__(self, span: Span, entity: EntityId) -> None:
+        _set_annotation_span(self, span)
+        _set_annotation_entity(self, entity)
 
 
-@dataclass(frozen=True, slots=True)
+_set_annotation_span, _set_annotation_entity = Annotation.span.__set__, Annotation.entity.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TokenSpan:
     """A token together with its character span in the owning text."""
 
     token_index: int
     span: Span
     surface: str
+
+    def __init__(self, token_index: int, span: Span, surface: str) -> None:
+        _set_token_index(self, token_index)
+        _set_token_span(self, span)
+        _set_token_surface(self, surface)
+
+
+_set_token_index, _set_token_span, _set_token_surface = (
+    TokenSpan.token_index.__set__, TokenSpan.span.__set__, TokenSpan.surface.__set__
+)
 
 
 @dataclass(frozen=True)
@@ -112,7 +145,7 @@ class AnnotatedDocument:
                 raise InvalidSpan(
                     f"{self.doc_id}: span ({ann.span.begin}, {ann.span.end}) exceeds text length {len(self.text)}"
                 )
-        ordered = sorted(self.gold, key=Annotation.sort_key)
+        ordered = sorted(self.gold, key=lambda ann: (ann.span.begin, ann.span.end))
         for prev, cur in zip(ordered, ordered[1:]):
             if prev.span.overlaps(cur.span):
                 raise InvalidSpan(
@@ -125,13 +158,20 @@ def normalize_annotations(annotations: Iterable[Annotation]) -> list[Annotation]
     """Sort annotations by (begin, end, entity) and drop exact duplicates.
 
     Idempotent; the output is a canonical ordering suitable for comparison
-    and deterministic iteration.
+    and deterministic iteration. Equal sort keys keep their input order,
+    and an annotation is dropped when it equals the last one kept.
     """
-    ordered = sorted(annotations, key=Annotation.sort_key)
+    annotations = list(annotations)
+    # the index breaks ties, so this is a stable sort by (begin, end, entity id)
+    ordered = sorted([(a.span.begin, a.span.end, a.entity.id, i) for i, a in enumerate(annotations)])
     out: list[Annotation] = []
-    for ann in ordered:
-        if not out or out[-1] != ann:
-            out.append(ann)
+    last = None
+    for begin, end, entity_id, i in ordered:
+        # is_none tells NONE_ENTITY from a plain "--NME--", the one id unequal entities share
+        key = (begin, end, entity_id, annotations[i].entity.is_none)
+        if key != last:
+            out.append(annotations[i])
+            last = key
     return out
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from linkeval import (
     AnnotatedDocument,
     Annotation,
+    CandidateMode,
     CandidatePolicy,
     CoherenceParams,
     ConllLayout,
@@ -327,6 +328,52 @@ def oracle_link_eagerly(
                 if not best.is_none:
                     picked.append((span, best))
     return oracle_resolve_overlaps(picked)
+
+
+def oracle_enumerate_token_windows(
+    tokens: Sequence[tuple[int, int]],
+    max_length: int,
+    *,
+    text: str,
+    policy: CandidatePolicy,
+) -> list[tuple[int, int, int, int]]:
+    """The per-window prefix walk: grow each start token's window while its surface may prefix a key.
+
+    Returns (begin, end, first_token, last_token_exclusive) in (start,
+    length) order. Under the dictionary policy a surface may prefix a key
+    when some lowercase alias key, folded like the surface (str.lower, then
+    final sigma to sigma), starts with the folded surface; every key is
+    tried. The full policy keeps every window and the empty policy none.
+    """
+
+    def fold(surface: str) -> str:
+        return surface.lower().replace("ς", "σ")
+
+    keys = [fold(key) for key in policy.dictionary.lowercase_index] if policy.dictionary is not None else []
+
+    def may_prefix(surface: str) -> bool:
+        if policy.mode is CandidateMode.DICTIONARY:
+            return any(key.startswith(fold(surface)) for key in keys)
+        return policy.mode is CandidateMode.FULL_VOCABULARY
+
+    windows: list[tuple[int, int, int, int]] = []
+    for start, (begin, _) in enumerate(tokens):
+        for stop in range(start + 1, min(start + max_length, len(tokens)) + 1):
+            end = tokens[stop - 1][1]
+            if not may_prefix(text[begin:end]):
+                break
+            windows.append((begin, end, start, stop))
+    return windows
+
+
+def oracle_normalize_annotations(annotations: Iterable[Annotation]) -> list[Annotation]:
+    """Stable sort by (begin, end, entity id); drop an annotation equal to the last one kept."""
+    ordered = sorted(annotations, key=lambda a: (a.span.begin, a.span.end, a.entity.id))
+    out: list[Annotation] = []
+    for ann in ordered:
+        if not out or out[-1] != ann:
+            out.append(ann)
+    return out
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from oracles import (
     merge_token_predictions,
     oracle_annotate,
     oracle_annotate_on_document_tokens,
+    oracle_enumerate_token_windows,
     oracle_link_eagerly,
     oracle_link_prior_argmax,
     oracle_resolve_overlaps,
@@ -335,9 +336,34 @@ def test_pruned_windows_match_oracle_linker(rows, words, separator, max_span_tok
 def test_pruning_keeps_a_final_sigma_prefix() -> None:
     policy = dict_policy("ασ'α\tE1\t0.5\n")
     assert [t.surface for t in tokenize("ΑΣ'Α")] == ["ΑΣ", "'Α"]
-    assert policy.may_prefix("ΑΣ")
-    assert not policy.may_prefix("ΑΑ")
+    assert policy.prefix_windows("ΑΣ", [(0, 2)], 1) == [1]
+    assert policy.prefix_windows("ΑΑ", [(0, 2)], 1) == [0]
     assert link_prior_argmax("ΑΣ'Α", policy) == [ann(0, 4, "E1")]
+
+
+# keys that share prefixes, a capital sigma whose lowercase depends on what
+# follows it, and "İ", whose lowercase form is two characters long
+PREFIX_MENTIONS = ("New", "New York", "New York City", "Newark", "york city", "ΑΣ", "ΑΣ'Α", "ασ σ", "İ",
+                   "İstanbul", "i̇stanbul", "İZMİR", "istanbul new")
+PREFIX_WORDS = ("New", "new", "NEW", "York", "City", "Newark", "ΑΣ", "'Α", "Σ", "İ", "İstanbul", "ISTANBUL",
+                "İZMİR", "i", ".")
+prefix_rows = st.lists(
+    st.tuples(st.sampled_from(PREFIX_MENTIONS), st.sampled_from(ENTITIES), st.sampled_from((0.05, 0.1))),
+    min_size=1,
+    max_size=20,
+)
+
+
+@given(prefix_rows, st.lists(st.sampled_from(PREFIX_WORDS), max_size=14), st.sampled_from(("", " ")), st.integers(1, 6))
+@example([("ΑΣ'Α", EntityId("E1"), 0.1)], ["ΑΣ", "'Α"], "", 2)
+@example([("İstanbul", EntityId("E1"), 0.1)], ["İstanbul", "i"], " ", 2)
+@settings(max_examples=200, deadline=None)
+def test_dictionary_windows_match_the_per_window_walk(rows, words, separator, max_length) -> None:
+    text = separator.join(words)
+    tokens = offsets(text)
+    policy = CandidatePolicy(CandidateMode.DICTIONARY, dictionary=AliasDictionary.from_pairs(rows))
+    expected = oracle_enumerate_token_windows(tokens, max_length, text=text, policy=policy)
+    assert enumerate_token_windows(tokens, max_length, text=text, policy=policy) == expected
 
 
 @given(st.lists(st.sampled_from(SIGMA_WORDS), max_size=12), st.sampled_from(("", " ")), st.integers(1, 5))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import ann
@@ -11,11 +14,13 @@ from linkeval import (
     Annotation,
     EntityId,
     Span,
+    TokenSpan,
     filter_inkb,
     make_entity,
     normalize_annotations,
 )
 from linkeval.errors import InvalidSpan
+from oracles import oracle_normalize_annotations
 
 
 def test_entity_id_rejects_empty_and_padded() -> None:
@@ -77,6 +82,64 @@ def test_normalize_is_idempotent(raw: list[Annotation]) -> None:
     keys = [(a.span.begin, a.span.end, a.entity.id) for a in once]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+# NONE_ENTITY and a plain EntityId("--NME--") share an id but are unequal:
+# the one case where equal sort keys hide unequal annotations
+X = Annotation(Span(0, 5), NONE_ENTITY)
+Y = Annotation(Span(0, 5), EntityId("--NME--"))
+
+
+@given(
+    st.lists(
+        st.builds(
+            Annotation,
+            st.builds(lambda b, l: Span(b, b + l), st.integers(0, 6), st.integers(1, 3)),
+            st.sampled_from([EntityId("A"), EntityId("B"), NONE_ENTITY, EntityId("--NME--")]),
+        ),
+        max_size=20,
+    ).flatmap(lambda anns: st.permutations(anns + anns[: len(anns) // 2]))
+)
+@example([X, Y, X])
+def test_normalize_matches_oracle(raw: list[Annotation]) -> None:
+    assert normalize_annotations(raw) == oracle_normalize_annotations(raw)
+    if raw == [X, Y, X]:
+        assert normalize_annotations(raw) == [X, Y, X]
+
+
+@pytest.mark.parametrize(
+    ("cls", "fields", "change", "text", "hashed"),
+    [
+        (EntityId, {"id": "Q1", "is_none": True}, {"id": "Q2"}, "EntityId(id='Q1', is_none=True)", hash("Q1")),
+        (Span, {"begin": 2, "end": 5}, {"end": 9}, "Span(begin=2, end=5)", hash((2, 5))),
+        (
+            Annotation,
+            {"span": Span(2, 5), "entity": EntityId("Q1")},
+            {"span": Span(0, 1)},
+            "Annotation(span=Span(begin=2, end=5), entity=EntityId(id='Q1', is_none=False))",
+            hash((Span(2, 5), EntityId("Q1"))),
+        ),
+        (
+            TokenSpan,
+            {"token_index": 3, "span": Span(2, 5), "surface": "abc"},
+            {"token_index": 4},
+            "TokenSpan(token_index=3, span=Span(begin=2, end=5), surface='abc')",
+            hash((3, Span(2, 5), "abc")),
+        ),
+    ],
+)
+def test_value_type_contract(cls, fields, change, text, hashed) -> None:
+    value = cls(**fields)
+    assert value == cls(*fields.values())
+    assert [getattr(value, name) for name in fields] == list(fields.values())
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, fields[name])
+    replaced = dataclasses.replace(value, **change)
+    assert replaced == cls(**{**fields, **change}) != value
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert repr(value) == text
+    assert hash(value) == hashed == hash(cls(**fields))
 
 
 def test_filter_inkb_drops_none_even_when_in_vocabulary() -> None:
