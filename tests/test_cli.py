@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import socket
 import subprocess
 import sys
 import urllib.request
@@ -27,6 +29,7 @@ from linkeval import cli
 from linkeval.cli import _parse_endpoint, build_parser, build_pipeline, cli_main, load_predictions, load_resources
 from linkeval.errors import MalformedLine, UsageError
 from linkeval.reports import DELTA_FILE, RATIO_FILE, REPORT_CSV, SUMMARY_TXT
+from linkeval.service import read_headers
 
 PERFECT_PREDICTIONS_TSV = (
     "# doc_id\tbegin\tend\tentity\n"
@@ -522,6 +525,7 @@ def test_serve_subcommand_end_to_end(workspace) -> None:
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
     )
     try:
         banner = process.stdout.readline().strip()
@@ -543,6 +547,31 @@ def test_serve_subcommand_end_to_end(workspace) -> None:
     finally:
         process.terminate()
         process.communicate(timeout=10)  # waits, then closes the child's pipes
+
+
+def test_serve_exits_0_on_sigint_with_a_kept_alive_connection(workspace) -> None:
+    process = subprocess.Popen(
+        [sys.executable, "-m", "linkeval", "serve", "--endpoint", "127.0.0.1:0", "--dict-path", str(workspace["dict"])],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    )
+    try:
+        host, port = _parse_endpoint(process.stdout.readline().split()[-1])
+        with socket.create_connection((host, port), timeout=10) as sock, sock.makefile("rb") as rfile:
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert rfile.readline().startswith(b"HTTP/1.1 200 ")
+            headers = read_headers(rfile)
+            assert json.loads(rfile.read(int(headers[b"content-length"])))["linker"] == "prior_argmax"
+            process.send_signal(signal.SIGINT)
+            _, err = process.communicate(timeout=10)
+            assert (process.returncode, err) == (0, "")
+            assert rfile.read() == b""  # the service closed the kept-alive connection
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
 
 
 def test_serve_interrupted_before_serving_exits_0_and_closes(workspace, monkeypatch) -> None:

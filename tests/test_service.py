@@ -27,7 +27,7 @@ from linkeval import (
     validate_triples,
 )
 from linkeval.errors import BindFailure, MalformedRequest, ProtocolViolation
-from linkeval.service import MAX_BODY_BYTES, _AnnotateHandler
+from linkeval.service import MAX_BODY_BYTES, REQUEST_TIMEOUT_S
 
 printable_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=200
@@ -252,9 +252,9 @@ def test_content_length_of_thousands_of_digits_is_413_and_closes(live_service) -
 
 
 def test_body_shorter_than_header_times_out(monkeypatch) -> None:
-    assert 0 < _AnnotateHandler.timeout <= 60
+    assert 0 < REQUEST_TIMEOUT_S <= 60
     # the same path as the real timeout, shortened to keep the test fast
-    monkeypatch.setattr(_AnnotateHandler, "timeout", 0.5)
+    monkeypatch.setattr("linkeval.service.REQUEST_TIMEOUT_S", 0.5)
     service = serve(fixture_pipeline())
     service.start_background()
     try:
@@ -384,7 +384,7 @@ def test_oversized_header_block_is_431_and_closes(live_service, headers: bytes) 
 
 
 def test_header_block_without_its_blank_line_times_out(monkeypatch) -> None:
-    monkeypatch.setattr(_AnnotateHandler, "timeout", 0.5)
+    monkeypatch.setattr("linkeval.service.REQUEST_TIMEOUT_S", 0.5)
     service = serve(fixture_pipeline())
     service.start_background()
     try:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
@@ -15,10 +16,20 @@ from pathlib import Path
 import pytest
 
 from faultserver import FaultServer
-from linkeval import AnnotationPipeline, HttpAnnotator, InProcessAnnotator, RunConfig, run_benchmark, serve
+from linkeval import (
+    AnnotateRequest,
+    AnnotationPipeline,
+    HttpAnnotator,
+    InProcessAnnotator,
+    RunConfig,
+    decode_response,
+    encode_request,
+    run_benchmark,
+    serve,
+)
 from linkeval.errors import AnnotatorUnreachable, ProtocolViolation
 from linkeval.reports import emit_report
-from linkeval.service import AnnotatorService
+from linkeval.service import SLOW_REQUEST_S, AnnotatorService, read_headers
 from test_runner import fixture_pipeline, perfection_corpus
 
 
@@ -221,3 +232,77 @@ def test_a_repeated_or_framing_fault_fails_its_document_alone(faults: list[str],
     expected = {d.doc_id: d for d in in_process_report().per_document}
     assert by_id["p1"] == expected["p1"] and by_id["p3"] == expected["p3"]
     assert server.script["p2"] == []
+
+
+def read_reply(rfile) -> tuple[int, bytes]:
+    status = int(rfile.readline().split()[1])
+    headers = read_headers(rfile)
+    return status, rfile.read(int(headers[b"content-length"]))
+
+
+def test_every_connection_is_served_by_the_same_two_threads() -> None:
+    before = threading.active_count()
+    service = serve(fixture_pipeline())
+    service.start_background()
+    sockets = []
+    try:
+        for _ in range(8):
+            sockets.append(socket.create_connection(service.server_address[:2], timeout=5.0))
+            sockets[-1].sendall(b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+        for sock in sockets:
+            with sock.makefile("rb") as rfile:
+                assert read_reply(rfile)[0] == 200
+        # the loop thread and its standby, however many connections are open
+        assert threading.active_count() - before <= 2
+    finally:
+        for sock in sockets:
+            sock.close()
+        service.stop()
+
+
+def test_pipelining_clients_with_slow_documents_each_get_their_replies_in_order() -> None:
+    def sometimes_slow(text: str):
+        if text.startswith("Slowly"):
+            time.sleep(2 * SLOW_REQUEST_S)  # long enough for the standby to take the loop over
+        return fixture_pipeline().linker(text)
+
+    pipeline = AnnotationPipeline(sometimes_slow, name="sometimes-slow")
+    texts, slow = ["Japan beat Syria", "Syria lost", "", "Japan"], ["Slowly Japan beat Syria", "Slowly Syria lost"]
+    expected = {text: pipeline.annotate_triples(text) for text in texts + slow}
+    service = serve(pipeline)
+    errors: list[BaseException] = []
+
+    def client(index: int) -> None:
+        try:
+            with socket.create_connection(service.server_address[:2], timeout=10.0) as sock, sock.makefile("rb") as rfile:
+                for batch in range(4):
+                    sent = [texts[(index + batch + k) % len(texts)] for k in range(4)]
+                    if index < len(slow):  # these clients send a slow document in each batch
+                        sent[batch] = slow[index]
+                    sock.sendall(b"".join(
+                        b"POST /annotate HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+                        for body in (encode_request(AnnotateRequest(text)) for text in sent)
+                    ))
+                    replies = [read_reply(rfile) for _ in sent]
+                    assert [(status, decode_response(payload)) for status, payload in replies] == [
+                        (200, expected[text]) for text in sent
+                    ]
+        except BaseException as exc:  # re-raised in the test's thread below
+            errors.append(exc)
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        service.start_background()
+        clients = [threading.Thread(target=client, args=(index,)) for index in range(8)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in clients)
+    finally:
+        sys.setswitchinterval(switch_interval)
+        started = time.perf_counter()
+        service.stop()
+        assert time.perf_counter() - started < 3.0
+    assert errors == []
